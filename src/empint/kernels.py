@@ -266,7 +266,7 @@ class EpsilonNet:
     member_indices: list
     epsilon: float
     nu: object
-    cover_radius: float  # epsilon, or 2*epsilon if the strict check needed the fallback
+    cover_radius: float  # always epsilon: a maximal packing covers at its radius
 
     def __len__(self):
         return len(self.member_indices)
@@ -277,8 +277,8 @@ def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> EpsilonNet:
 
     Members are scanned in enumeration order; a member joins the net iff its
     distance to every current net member is >= epsilon.  A maximal packing is
-    automatically an epsilon-cover; the cover property is re-verified by a
-    full scan.  Raises BudgetExceeded if the net is larger than D * eps**-L.
+    automatically an epsilon-cover, which is asserted over every member.
+    Raises BudgetExceeded if the net is larger than D * eps**-L.
 
     nu is a probability measure on the base space, extended to the k-fold
     product as a product measure (matching how family L2 norms are defined).
@@ -305,13 +305,10 @@ def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> EpsilonNet:
         net_uids.append(int(uid))
         d2 = sq + sq[uid] - 2.0 * (tables @ gram_rhs[uid])
         np.minimum(min_dist2, np.maximum(d2, 0.0), out=min_dist2)
+        min_dist2[uid] = 0.0  # not the rounding residue of its own distance
 
-    cover_radius = epsilon
-    if np.any(min_dist2 >= epsilon ** 2):
-        # greedy packing guarantees a 2*epsilon cover even in this case
-        cover_radius = 2 * epsilon
-        if np.any(min_dist2 >= cover_radius ** 2):
-            raise AssertionError("packing failed to cover at radius 2*epsilon")
+    # every member is in the net or was skipped as within epsilon of it
+    assert np.all(min_dist2 < epsilon ** 2), "greedy packing is not an epsilon-cover"
 
     allowed = family.budget_at(epsilon)
     if len(net_uids) > allowed:
@@ -320,5 +317,5 @@ def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> EpsilonNet:
         member_indices=[int(first_member[u]) for u in net_uids],
         epsilon=epsilon,
         nu=nu,
-        cover_radius=cover_radius,
+        cover_radius=epsilon,
     )

@@ -7,6 +7,7 @@ and independent replicas can be generated in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,36 @@ class ProbabilitySpace:
     @property
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.weights)
+
+    @cached_property
+    def _guide(self):
+        """Chen-Asau guide table for `inverse_cdf`, built once per space.
+
+        `edges` holds the cumulative weights with the last positive atom's
+        edge set to +inf, so rounding that leaves `cumulative[-1]` below 1
+        can never carry a draw onto a trailing zero-weight atom.  The table
+        is g[b] = searchsorted(edges, b/B, 'right') for a power of two
+        B >= 4m, which keeps b/B and u*B exact in floating point."""
+        last = int(np.flatnonzero(self.weights)[-1])
+        edges = np.append(self.cumulative[:last], np.inf)
+        buckets = 1 << (4 * self.m - 1).bit_length()
+        table = np.searchsorted(edges, np.arange(buckets) / buckets, side="right")
+        return edges, table, buckets
+
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """Point index of each u in [0, 1): the number of cumulative weights
+        <= u, as searchsorted(cumulative, u, 'right') gives it, clipped to
+        the last atom with positive weight.
+
+        The guide table entry for u's bucket is a lower bound on the index,
+        so a forward scan over the edges reaches it exactly."""
+        edges, table, buckets = self._guide
+        idx = table[(u * buckets).astype(np.intp)]
+        active = np.flatnonzero(edges[idx] <= u)
+        while active.size:
+            idx[active] += 1
+            active = active[edges[idx[active]] <= u[active]]
+        return idx
 
 
 @dataclass(frozen=True)
@@ -109,10 +140,8 @@ def draw_sample(space: ProbabilitySpace, n: int, seed: int, stream_id: int = 0) 
     if n < 1:
         raise ValueError("n must be >= 1")
     u = stream_rng(seed, stream_id).random(n)
-    values = np.searchsorted(space.cumulative, u, side="right")
-    # guard against u landing exactly on the final cumulative value
-    np.clip(values, 0, space.m - 1, out=values)
-    return Sample(values=values, source_seed=seed, stream_id=stream_id)
+    return Sample(values=space.inverse_cdf(u), source_seed=seed,
+                  stream_id=stream_id)
 
 
 def point_counts(sample: Sample, space: ProbabilitySpace) -> np.ndarray:

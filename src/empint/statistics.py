@@ -10,7 +10,7 @@ the cost is O(n*k + m^k) instead of O(n^k).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
@@ -32,48 +32,86 @@ class ResidualTooLarge(Exception):
 STREAMS_PER_DRAW = 64  # stream-id stride between Monte Carlo replicas
 
 
-@dataclass(frozen=True)
+class _Drawn:
+    """A SampleDraw field that, when not given, is drawn from its stream on
+    first read and then kept.
+
+    A data descriptor, so the dataclass __init__ (and dataclasses.replace)
+    store given values through __set__; None, the default, means "draw"."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, draw, owner=None):
+        if draw is None:
+            return None
+        if self.name not in draw.__dict__:
+            draw.__dict__[self.name] = draw._draw(self.name)
+        return draw.__dict__[self.name]
+
+    def __set__(self, draw, value):
+        if value is not None:
+            draw.__dict__[self.name] = value
+
+
+@dataclass(frozen=True, kw_only=True, eq=False)
 class SampleDraw:
     """One Monte Carlo realization: base sample, k decoupled copies, k
-    mirrored copies and a Rademacher sign vector, all from one seed."""
+    mirrored copies and a Rademacher sign vector, all from one seed.
 
-    base: Sample
-    decoupled: tuple
-    mirrored: tuple
-    signs: np.ndarray
+    Fields not given are drawn from `space` on first read, each from the
+    stream id it always has: base from replica * STREAMS_PER_DRAW = b,
+    decoupled copy s from b+1+s, mirrored copy s from b+1+k+s and the signs
+    from b+1+2k.  A statistic thus opens only the streams it reads."""
+
+    base: Sample = _Drawn()
+    decoupled: tuple = _Drawn()
+    mirrored: tuple = _Drawn()
+    signs: np.ndarray = _Drawn()
     seed: int
     replica: int
+    n: int = None  # from base when not given
+    k: int = None  # from decoupled when not given
+    space: ProbabilitySpace = field(default=None, repr=False)
 
     def __post_init__(self):
-        s = np.asarray(self.signs, dtype=float)
-        if not np.all(np.abs(s) == 1.0):
-            raise ValueError("signs must be exactly +/-1")
-        object.__setattr__(self, "signs", s)
-        s.setflags(write=False)
+        if "signs" in self.__dict__:
+            s = np.asarray(self.signs, dtype=float)
+            if not np.all(np.abs(s) == 1.0):
+                raise ValueError("signs must be exactly +/-1")
+            s.setflags(write=False)
+            self.__dict__["signs"] = s
+        if self.n is None:
+            object.__setattr__(self, "n", self.base.n)
+        if self.k is None:
+            object.__setattr__(self, "k", len(self.decoupled))
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def k(self) -> int:
-        return len(self.decoupled)
+    def _draw(self, name: str):
+        if self.space is None:
+            raise ValueError(f"{name} was not given and there is no space to draw it from")
+        base_id = self.replica * STREAMS_PER_DRAW
+        if name == "base":
+            return draw_sample(self.space, self.n, self.seed, base_id)
+        if name == "signs":
+            u = stream_rng(self.seed, base_id + 1 + 2 * self.k).random(self.n)
+            signs = np.where(u < 0.5, -1.0, 1.0)
+            signs.setflags(write=False)
+            return signs
+        first = base_id + 1 + (self.k if name == "mirrored" else 0)
+        return tuple(draw_sample(self.space, self.n, self.seed, first + s)
+                     for s in range(self.k))
 
 
 def draw_bundle(space: ProbabilitySpace, n: int, k: int, seed: int,
                 replica: int = 0) -> SampleDraw:
-    """Draw base, decoupled and mirrored samples plus signs from distinct
-    streams of one seed; replicas use disjoint stream-id blocks."""
+    """Base, decoupled and mirrored samples plus signs from distinct streams
+    of one seed, each drawn when first read; replicas use disjoint stream-id
+    blocks."""
     if k < 1 or 2 * k + 2 > STREAMS_PER_DRAW:
         raise ValueError("k out of supported range")
-    base_id = replica * STREAMS_PER_DRAW
-    base = draw_sample(space, n, seed, base_id)
-    decoupled = tuple(draw_sample(space, n, seed, base_id + 1 + s) for s in range(k))
-    mirrored = tuple(draw_sample(space, n, seed, base_id + 1 + k + s) for s in range(k))
-    u = stream_rng(seed, base_id + 1 + 2 * k).random(n)
-    signs = np.where(u < 0.5, -1.0, 1.0)
-    return SampleDraw(base=base, decoupled=decoupled, mirrored=mirrored,
-                      signs=signs, seed=seed, replica=replica)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return SampleDraw(seed=seed, replica=replica, n=n, k=k, space=space)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,21 @@ import pytest
 
 from empint.chaos import exact_chaos_tail
 from empint.decomposition import canonicalize
-from empint.kernels import KernelFunction, interval_family, interval_space, \
-    l2_norm, singleton_family
-from empint.spaces import Sample, finite_space, uniform_space
-from empint.statistics import (draw_bundle, enumerate_configurations,
+from empint import spaces, statistics
+from empint.kernels import BoxRestrictionFamily, KernelFunction, \
+    interval_family, interval_space, l2_norm, singleton_family
+from empint.spaces import Sample, draw_sample, finite_space, stream_rng, \
+    uniform_space
+from empint.statistics import (STREAMS_PER_DRAW, SampleDraw, draw_bundle,
+                               enumerate_configurations,
                                multiple_integral_j, randomized_decoupled)
 from empint.experiments import (TailCurve, TooFewQualifyingPoints,
+                                _member_matrix,
                                 conditional_chaos_coefficients,
                                 counterexample_experiment,
                                 decoupling_experiment, exponent_fit,
-                                mc_sup_tail, symmetrization_experiment,
-                                wilson_interval)
+                                mc_sup_tail, statistic_weights,
+                                symmetrization_experiment, wilson_interval)
 
 
 def test_wilson_interval_basic():
@@ -102,6 +106,83 @@ def test_mc_sup_tail_validations():
         mc_sup_tail(fam, sp, 10, 2, "J", [0.5], 5, seed=1)
     with pytest.raises(ValueError):
         mc_sup_tail(fam, sp, 10, 1, "V-statistic", [0.5], 5, seed=1)
+
+
+def _eager_draw(space, n, k, seed, replica):
+    """Every field of a replica drawn up front on its documented stream id."""
+    b = replica * STREAMS_PER_DRAW
+    u = stream_rng(seed, b + 1 + 2 * k).random(n)
+    return SampleDraw(
+        base=draw_sample(space, n, seed, b),
+        decoupled=tuple(draw_sample(space, n, seed, b + 1 + s) for s in range(k)),
+        mirrored=tuple(draw_sample(space, n, seed, b + 1 + k + s) for s in range(k)),
+        signs=np.where(u < 0.5, -1.0, 1.0), seed=seed, replica=replica)
+
+
+@pytest.mark.parametrize("k, kind", [(1, "J"), (1, "I"), (2, "J"), (2, "I"),
+                                     (2, "decoupled-I")])
+def test_mc_sup_tail_equals_eager_stream_reference(k, kind):
+    sp = finite_space([0.05, 0.2, 0.0, 0.25, 0.1, 0.4])
+    if k == 1:
+        fam = interval_family(0.5, 6)
+    else:
+        base = KernelFunction(stream_rng(8, 0).uniform(-1, 1, size=(6, 6)))
+        fam = BoxRestrictionFamily(base, 6)
+    n, reps, seed = 40, 60, 19
+    F = _member_matrix(fam)
+    maxima = np.array([
+        np.max(np.abs(F @ statistic_weights(kind, _eager_draw(sp, n, k, seed, r), sp, k)))
+        for r in range(reps)])
+    grid = np.unique(maxima)  # every replication's maximum is a grid point
+    curve = mc_sup_tail(fam, sp, n, k, kind, grid, reps, seed)
+    expected = TailCurve.from_maxima(maxima, grid)
+    assert np.array_equal(curve.probs, expected.probs)
+    assert np.array_equal(curve.ci_lo, expected.ci_lo)
+
+
+@pytest.fixture
+def opened_streams(monkeypatch):
+    """Stream ids opened through stream_rng, in order."""
+    opened = []
+    real = spaces.stream_rng
+
+    def counting(seed, stream_id):
+        opened.append(stream_id)
+        return real(seed, stream_id)
+    monkeypatch.setattr(spaces, "stream_rng", counting)
+    monkeypatch.setattr(statistics, "stream_rng", counting)
+    return opened
+
+
+def _per_replica(opened, reps):
+    per = [sorted(i - r * STREAMS_PER_DRAW for i in opened
+                  if i // STREAMS_PER_DRAW == r) for r in range(reps)]
+    assert sum(map(len, per)) == len(opened)
+    return per
+
+
+@pytest.mark.parametrize("k, kind, streams", [
+    (1, "J", [0]), (1, "I", [0]), (1, "decoupled-I", [1]),
+    (2, "J", [0]), (2, "I", [0]), (2, "decoupled-I", [1, 2])])
+def test_sup_tail_opens_only_the_streams_it_reads(opened_streams, k, kind, streams):
+    sp = uniform_space(4)
+    fam = _canonical_singleton(4, k, 6, sp)
+    mc_sup_tail(fam, sp, 12, k, kind, [0.5], 7, seed=2)
+    assert _per_replica(opened_streams, 7) == [streams] * 7
+
+
+def test_experiments_open_only_the_streams_they_read(opened_streams):
+    sp = uniform_space(4)
+    counterexample_experiment(0.5, 32, 0.1, 5, seed=1)
+    assert _per_replica(opened_streams, 5) == [[0]] * 5
+    opened_streams.clear()
+    fam = _canonical_singleton(4, 1, 7, sp)
+    symmetrization_experiment(fam, sp, 12, 0.5, 5, seed=1)
+    assert _per_replica(opened_streams, 5) == [[0, 3]] * 5  # base and signs
+    opened_streams.clear()
+    fam = _canonical_singleton(4, 2, 8, sp)
+    decoupling_experiment(fam, sp, 12, 2, [0.5], 5, seed=1)
+    assert _per_replica(opened_streams, 5) == [[0, 1, 2]] * 5
 
 
 # --- symmetrization --------------------------------------------------------

@@ -191,6 +191,17 @@ def test_net_soundness_random_measures():
             assert _net_is_sound(fam, nu, eps)
 
 
+def test_net_covers_at_epsilon_on_duplicate_heavy_family():
+    fam = BoxRestrictionFamily(_base_kernel(m=8, k=2, width=3), 8)
+    tables, _ = fam.unique_tables()
+    assert tables.shape[0] * 4 < len(fam)
+    sp = uniform_space(8)
+    for eps in (1.0, 0.5, 0.25, 0.1, 0.01):
+        net = epsilon_net(fam, sp, eps)
+        assert net.cover_radius == eps
+        assert _net_is_sound(fam, sp, eps)
+
+
 def test_net_budget_exceeded_signals():
     sp = uniform_space(4)
     kernels = [KernelFunction(np.eye(4)[i]) for i in range(4)]

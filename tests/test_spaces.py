@@ -148,3 +148,74 @@ def test_stream_rng_reproducible():
     a = stream_rng(9, 2).random(10)
     b = stream_rng(9, 2).random(10)
     assert np.array_equal(a, b)
+
+
+# --- inverse CDF: guide table and zero-weight atoms ------------------------
+
+@st.composite
+def weight_vectors(draw):
+    """Skewed random weights, small m or m in the hundreds, with a zero run
+    and sometimes a trailing zero."""
+    m = draw(st.one_of(st.integers(min_value=2, max_value=12),
+                       st.integers(min_value=100, max_value=400)))
+    w = stream_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)), 0) \
+        .uniform(0.0, 1.0, size=m) ** 3
+    start = draw(st.integers(min_value=0, max_value=m - 1))
+    w[start:start + draw(st.integers(min_value=0, max_value=m))] = 0.0
+    if draw(st.booleans()):
+        w[-1] = 0.0
+    if np.count_nonzero(w) < 2:
+        w[:2] = 1.0
+    return finite_space(w)
+
+
+def _adversarial_u(sp):
+    """0, the largest double below 1, every cumulative value below 1 with its
+    neighbours, and every multiple of 1/4096 (each guide bucket edge)."""
+    c = sp.cumulative
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], c,
+                        np.nextafter(c, 0.0), np.nextafter(c, 1.0),
+                        np.arange(4096) / 4096])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def _last_positive(sp):
+    return int(np.flatnonzero(sp.weights)[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_vectors(), st.integers(min_value=0, max_value=10**6))
+def test_inverse_cdf_matches_searchsorted(sp, seed):
+    u = np.concatenate([_adversarial_u(sp), stream_rng(seed, 0).random(500)])
+    expected = np.minimum(np.searchsorted(sp.cumulative, u, side="right"),
+                          _last_positive(sp))
+    assert np.array_equal(sp.inverse_cdf(u), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight_vectors(), st.integers(min_value=1, max_value=200),
+       st.integers(min_value=0, max_value=10**6))
+def test_zero_weight_atoms_never_drawn(sp, n, seed):
+    assert np.all(sp.weights[draw_sample(sp, n, seed=seed).values] > 0)
+    assert np.all(sp.weights[sp.inverse_cdf(_adversarial_u(sp))] > 0)
+
+
+def test_trailing_zero_atom_not_drawn_at_top_of_unit_interval(monkeypatch):
+    sp = finite_space([0.1] * 10 + [0])
+    top = np.nextafter(1.0, 0.0)
+    assert sp.cumulative[-1] <= top  # rounding leaves room above the last edge
+
+    class TopRng:
+        def random(self, n):
+            return np.full(n, top)
+    monkeypatch.setattr("empint.spaces.stream_rng", lambda seed, stream_id: TopRng())
+    assert np.all(draw_sample(sp, 20, seed=0).values == 9)
+
+
+def test_uniform_draws_unchanged_by_the_guide_table():
+    for m in (2, 16, 200):
+        sp = uniform_space(m)
+        u = stream_rng(3, m).random(10_000)
+        expected = np.minimum(np.searchsorted(sp.cumulative, u, side="right"), m - 1)
+        assert np.array_equal(draw_sample(sp, 10_000, seed=3, stream_id=m).values,
+                              expected)

@@ -9,8 +9,8 @@ from empint.decomposition import canonicalize
 from empint.kernels import KernelFunction
 from empint.spaces import (Sample, draw_sample, finite_space, stream_rng,
                            uniform_space)
-from empint.statistics import (DegenerateSample, ResidualTooLarge, SampleDraw,
-                               binomial, decoupled_u_statistic,
+from empint.statistics import (STREAMS_PER_DRAW, DegenerateSample,
+                               ResidualTooLarge, SampleDraw, binomial, decoupled_u_statistic,
                                derive_expansion_coefficients, draw_bundle,
                                enumerate_configurations,
                                exact_decoupled_second_moment,
@@ -204,6 +204,48 @@ def test_draw_bundle_replicas_differ():
     a = draw_bundle(sp, 50, 2, seed=3, replica=0)
     b = draw_bundle(sp, 50, 2, seed=3, replica=1)
     assert not np.array_equal(a.base.values, b.base.values)
+
+
+def _signs_on(seed, stream_id, n):
+    return np.where(stream_rng(seed, stream_id).random(n) < 0.5, -1.0, 1.0)
+
+
+def test_draw_bundle_fields_come_from_their_stream_ids():
+    sp = finite_space([0.1, 0.0, 0.2, 0.3, 0.4])
+    n, k, seed, replica = 9, 3, 21, 5
+    b = replica * STREAMS_PER_DRAW
+    draw = draw_bundle(sp, n, k, seed, replica)
+    assert (draw.n, draw.k) == (n, k)
+    # read in reverse of the stream order: values must not depend on it
+    assert np.array_equal(draw.signs, _signs_on(seed, b + 1 + 2 * k, n))
+    for s in reversed(range(k)):
+        assert np.array_equal(draw.mirrored[s].values,
+                              draw_sample(sp, n, seed, b + 1 + k + s).values)
+        assert np.array_equal(draw.decoupled[s].values,
+                              draw_sample(sp, n, seed, b + 1 + s).values)
+    assert np.array_equal(draw.base.values, draw_sample(sp, n, seed, b).values)
+
+
+def test_draw_bundle_fields_are_kept_and_read_only():
+    draw = draw_bundle(uniform_space(3), 6, 2, seed=4)
+    assert draw.base is draw.base and draw.decoupled is draw.decoupled
+    with pytest.raises(ValueError):
+        draw.signs[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        draw.base = draw.decoupled[0]
+
+
+def test_draw_bundle_rejects_nonpositive_n():
+    with pytest.raises(ValueError):
+        draw_bundle(uniform_space(3), 0, 1, seed=1)
+
+
+def test_explicit_draw_without_space_cannot_draw_missing_fields():
+    draw = SampleDraw(base=_sample([0, 1]), decoupled=(_sample([1, 0]),),
+                      signs=np.ones(2), seed=0, replica=0)
+    assert (draw.n, draw.k) == (2, 1)
+    with pytest.raises(ValueError):
+        draw.mirrored
 
 
 # --- H integrals -----------------------------------------------------------
