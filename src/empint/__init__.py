@@ -9,7 +9,7 @@ from .spaces import (ProbabilitySpace, Sample, DiscreteMeasure, finite_space,
                      signed_increment, stream_rng)
 from .kernels import (KernelFunction, FunctionFamily, ExplicitFamily,
                       BoxRestrictionFamily, BudgetExceeded, EpsilonNet,
-                      epsilon_net, interval_family, interval_space, l2_norm,
+                      epsilon_net, interval_family, l2_norm,
                       singleton_family, sup_norm)
 from .decomposition import (HoeffdingDecomposition, canonicalize,
                             hoeffding_decompose, is_canonical, project_p,

@@ -22,8 +22,8 @@ from .chaos import (ChaosCoefficients, chaos_s, chaos_tail_bound,
                     exact_chaos_tail, EnumerationRefused, optimal_q_tail)
 from .decomposition import canonicalize
 from .kernels import (BoxRestrictionFamily, BudgetExceeded, ExplicitFamily,
-                      KernelFunction, interval_family, interval_space,
-                      l2_norm, singleton_family)
+                      KernelFunction, interval_family, l2_norm,
+                      singleton_family)
 from .spaces import ProbabilitySpace, finite_space, stream_rng, uniform_space
 from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
     validate_expansion
@@ -244,7 +244,7 @@ def execute(cfg: dict, workers: int = 1):
 
     if exp == "expansion_audit":
         n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
-        k = _require(cfg, "k", int, lambda v: 1 <= v <= 3, "must be in 1..3")
+        k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
         if n < k:
             raise ConfigError("n", "must be >= k")
         space = _build_space(cfg.get("space"), "space")
@@ -285,7 +285,7 @@ def execute(cfg: dict, workers: int = 1):
         return payload, rows
 
     # sup_tail / symmetrization / decoupling share the space+family plumbing
-    k = _require(cfg, "k", int, lambda v: 1 <= v <= 3, "must be in 1..3")
+    k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
     n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
     space = _build_space(cfg.get("space"), "space")
     family = _build_family(cfg.get("family"), "family", space, k)
@@ -313,6 +313,8 @@ def execute(cfg: dict, workers: int = 1):
         kind = cfg.get("statistic", "J")
         if kind not in ("J", "I", "decoupled-I"):
             raise ConfigError("statistic", "must be J, I or decoupled-I")
+        if kind != "J" and n < k:  # J sums over distinct points, not indices
+            raise ConfigError("n", "must be >= k")
         curve = mc_sup_tail(family, space, n, k, kind, grid, reps, seed,
                             workers=workers)
         rows = overlay_bounds(curve, k, family.sigma, family.D, family.L,
@@ -328,6 +330,8 @@ def execute(cfg: dict, workers: int = 1):
     if exp == "decoupling":
         if k < 2:
             raise ConfigError("k", "decoupling requires k >= 2")
+        if n < k:
+            raise ConfigError("n", "must be >= k")
         res = decoupling_experiment(family, space, n, k, grid, reps, seed,
                                     workers=workers)
         rows = overlay_bounds(res.coupled, k, family.sigma, family.D, family.L,

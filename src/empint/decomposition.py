@@ -104,7 +104,7 @@ def canonicalize(f: KernelFunction, mu: ProbabilitySpace) -> KernelFunction:
     out = f
     for coord in range(1, f.k + 1):
         out = project_q(out, coord, mu)
-    return KernelFunction(out.table, symmetric=f.symmetric)
+    return out
 
 
 def hoeffding_decompose(f: KernelFunction, mu: ProbabilitySpace) -> HoeffdingDecomposition:

@@ -15,9 +15,10 @@ from math import factorial, log, sqrt
 import numpy as np
 
 from .chaos import ChaosCoefficients
-from .kernels import FunctionFamily, interval_family, interval_space
-from .spaces import ProbabilitySpace, point_counts, signed_increment
-from .statistics import _PARTITIONS, SampleDraw, draw_bundle
+from .kernels import FunctionFamily, interval_family
+from .spaces import ProbabilitySpace, signed_increment, uniform_space
+from .statistics import SampleDraw, distinct_weights, draw_bundle, \
+    increment_weights
 
 WILSON_Z = 1.959963984540054  # 95%
 
@@ -74,56 +75,16 @@ def _member_matrix(family: FunctionFamily) -> np.ndarray:
     return np.array([family.member(i).table.ravel() for i in range(len(family))])
 
 
-def _joint_count_tensor(cols, m: int, block) -> np.ndarray:
-    t = np.zeros((m,) * len(block))
-    np.add.at(t, tuple(cols[s] for s in block), 1.0)
-    return t
-
-
-def _distinct_weight_tensor(cols, m: int, k: int) -> np.ndarray:
-    """Weight tensor W with sum_{distinct indices} f = sum_x f(x) W(x)."""
-    out = np.zeros((m,) * k)
-    for blocks, mobius in _PARTITIONS[k]:
-        operands = []
-        for block in blocks:
-            operands.extend([_joint_count_tensor(cols, m, block), list(block)])
-        operands.append(list(range(k)))
-        out += mobius * np.einsum(*operands)
-    return out
-
-
-def _offdiag_signed_tensor(nu: np.ndarray, k: int) -> np.ndarray:
-    """prod_s nu(x_s) over pairwise-distinct point tuples, zero elsewhere."""
-    m = nu.size
-    out = nu.copy() if k == 1 else None
-    if k == 1:
-        return out
-    idx = np.indices((m,) * k)
-    w = np.ones((m,) * k)
-    for axis in range(k):
-        shape = [1] * k
-        shape[axis] = m
-        w = w * nu.reshape(shape)
-    for a, b in itertools.combinations(range(k), 2):
-        w[idx[a] == idx[b]] = 0.0
-    return w
-
-
 def statistic_weights(kind: str, draw: SampleDraw, space: ProbabilitySpace,
                       k: int) -> np.ndarray:
     """Flat weight vector so that the statistic of any arity-k kernel f is
     flat(f.table) @ weights."""
-    m = space.m
-    n = draw.n
     if kind == "J":
-        nu = signed_increment(draw.base, space).weights
-        w = _offdiag_signed_tensor(nu, k) * (n ** (k / 2) / factorial(k))
+        w = increment_weights(draw.base, space, k)
     elif kind == "I":
-        cols = [draw.base.values] * k
-        w = _distinct_weight_tensor(cols, m, k) / factorial(k)
+        w = distinct_weights([draw.base.values] * k, space.m)
     elif kind == "decoupled-I":
-        cols = [draw.decoupled[s].values for s in range(k)]
-        w = _distinct_weight_tensor(cols, m, k) / factorial(k)
+        w = distinct_weights([s.values for s in draw.decoupled], space.m)
     else:
         raise ValueError(f"unknown statistic kind {kind!r}")
     return w.ravel()
@@ -183,9 +144,8 @@ def _symmetrization_block(args):
     randomized = np.empty(len(replicas))
     for i, r in enumerate(replicas):
         draw = draw_bundle(space, n, 1, seed, replica=r)
-        counts = point_counts(draw.base, space)
-        signed_counts = np.zeros(space.m)
-        np.add.at(signed_counts, draw.base.values, draw.signs)
+        counts = distinct_weights([draw.base.values], space.m)
+        signed_counts = distinct_weights([draw.base.values], space.m, draw.signs)
         plain[i] = np.max(np.abs(F @ counts)) / sqrt(n)
         randomized[i] = np.max(np.abs(F @ signed_counts)) / sqrt(n)
     return np.stack([plain, randomized], axis=1)
@@ -297,7 +257,7 @@ def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
     if grid is None:
         grid = 2 * int(np.ceil(1.0 / sigma ** 2))
     family = interval_family(sigma, grid)
-    space = interval_space(grid)
+    space = uniform_space(grid)
     if n * sigma ** 2 < 8:
         raise ValueError("n sigma^2 too small for non-degenerate increments")
     F = _member_matrix(family)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import DiscreteMeasure, ProbabilitySpace, finite_space, uniform_space
+from .spaces import DiscreteMeasure, ProbabilitySpace
 
 
 class BudgetExceeded(Exception):
@@ -30,7 +30,6 @@ class KernelFunction:
     """Real-valued function of k points, dense-tabulated."""
 
     table: np.ndarray
-    symmetric: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
@@ -44,12 +43,6 @@ class KernelFunction:
     @property
     def m(self) -> int:
         return self.table.shape[0]
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        for perm in itertools.permutations(range(self.k)):
-            if np.max(np.abs(self.table - self.table.transpose(perm))) > tol:
-                return False
-        return True
 
 
 def sup_norm(f: KernelFunction) -> float:
@@ -189,11 +182,6 @@ def interval_family(sigma: float, grid: int) -> ExplicitFamily:
     return ExplicitFamily(kernels, D=4.0, L=2.0, sigma=sigma)
 
 
-def interval_space(grid: int) -> ProbabilitySpace:
-    """Uniform grid on [0,1] matching interval_family."""
-    return uniform_space(grid)
-
-
 class BoxRestrictionFamily(FunctionFamily):
     """Restrictions of a bounded kernel f to all grid-aligned boxes.
 
@@ -239,7 +227,7 @@ class BoxRestrictionFamily(FunctionFamily):
         box = self.boxes[i]
         sl = tuple(slice(u, v) for u, v in box)
         table[sl] = self.f.table[sl]
-        return KernelFunction(table, symmetric=False)
+        return KernelFunction(table)
 
     def unique_tables(self):
         if getattr(self, "_unique_cache", None) is not None:
@@ -255,10 +243,6 @@ class BoxRestrictionFamily(FunctionFamily):
             group[i] = seen[key]
         self._unique_cache = (np.array(tables), group)
         return self._unique_cache
-
-
-def box_restriction_family(f: KernelFunction, grid_per_axis: int) -> BoxRestrictionFamily:
-    return BoxRestrictionFamily(f, grid_per_axis)
 
 
 @dataclass

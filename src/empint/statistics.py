@@ -1,24 +1,26 @@
 """Random functionals of samples: multiple integrals, U-statistics and
 their decoupled / sign-randomized variants.
 
-The multiple integral J sums a kernel against the k-fold product of the
-signed increment mu_n - mu with the point diagonals removed; on a finite
-space this is an exact O(m^k) sum.  U-statistic style sums over distinct
-sample *indices* are evaluated through a partition inclusion-exclusion, so
-the cost is O(n*k + m^k) instead of O(n^k).
+Each statistic of an arity-k kernel f is flat(f) . flat(w) for one weight
+tensor w per sample over the m^k point tuples.  For the multiple integral J,
+w is the k-fold product of the signed increment mu_n - mu with the point
+diagonals removed.  For sums over distinct sample *indices*, w comes from an
+inclusion-exclusion over set partitions, so the cost is O(n + m^k) per
+partition instead of O(n^k).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import factorial, prod
 
 import numpy as np
 
 from .decomposition import all_subsets, hoeffding_decompose
 from .kernels import KernelFunction, _check_shape
-from .spaces import ProbabilitySpace, Sample, draw_sample, point_counts, \
-    signed_increment, stream_rng
+from .spaces import ProbabilitySpace, Sample, draw_sample, signed_increment, \
+    stream_rng
 
 
 class DegenerateSample(Exception):
@@ -115,7 +117,7 @@ def draw_bundle(space: ProbabilitySpace, n: int, k: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# multiple integral J against (mu_n - mu)^k, diagonals omitted
+# weight tensors: each statistic of an arity-k kernel f is flat(f) . flat(w)
 
 _MASK_CACHE = {}
 
@@ -131,88 +133,90 @@ def _offdiag_mask(m: int, k: int) -> np.ndarray:
     return _MASK_CACHE[key]
 
 
+def increment_weights(sample: Sample, space: ProbabilitySpace, k: int) -> np.ndarray:
+    """(n^{k/2}/k!) * prod_s nu(x_s), nu = mu_n - mu, on pairwise-distinct
+    point tuples and 0 on the point diagonals."""
+    nu = signed_increment(sample, space).weights
+    w = nu
+    for _ in range(k - 1):
+        w = np.multiply.outer(w, nu)
+    if k > 1:
+        w = np.where(_offdiag_mask(space.m, k), w, 0.0)
+    return w * (sample.n ** (k / 2) / factorial(k))
+
+
+@functools.cache
+def _partitions(k: int) -> tuple:
+    """The Bell(k) set partitions of {0..k-1}, each with its Mobius weight
+    prod over blocks B of (-1)^(|B|-1) (|B|-1)!."""
+    if k == 0:
+        return (((), 1),)
+    out = []
+    for blocks, _ in _partitions(k - 1):
+        # k-1 joins each existing block in turn, or opens its own
+        for i in range(len(blocks)):
+            out.append(blocks[:i] + (blocks[i] + (k - 1,),) + blocks[i + 1:])
+        out.append(blocks + ((k - 1,),))
+    return tuple((p, prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in p))
+                 for p in out)
+
+
+def distinct_weights(cols, m: int, signs=None) -> np.ndarray:
+    """Tensor w over point tuples with flat(f) . flat(w) equal to (1/k!) times
+    the sum over ordered distinct index tuples (j_1..j_k) of
+    f(cols[0][j_1], ..., cols[k-1][j_k]), each term weighted by the product
+    of signs[j_s] when signs are given.
+
+    Inclusion-exclusion over set partitions of the coordinates: indices in
+    one block coincide, so a block contributes the joint counts of its
+    columns (sign-weighted when the block has odd size, as squared signs
+    are 1).  Cost O((n + m^k) * Bell(k)) instead of O(n^k)."""
+    k = len(cols)
+    n = len(cols[0])
+    if n < k:
+        raise DegenerateSample(f"n={n} < k={k}")
+    counts = {}
+    w = np.zeros((m,) * k)
+    for blocks, mobius in _partitions(k):
+        operands = []
+        for block in blocks:
+            if block not in counts:
+                t = np.zeros((m,) * len(block))
+                odd = signs is not None and len(block) % 2 == 1
+                np.add.at(t, tuple(cols[s] for s in block), signs if odd else 1.0)
+                counts[block] = t
+            operands.extend([counts[block], list(block)])
+        w += mobius * np.einsum(*operands, list(range(k)))
+    return w / factorial(k)
+
+
+def _flat_dot(f: KernelFunction, w: np.ndarray) -> float:
+    return float(f.table.ravel() @ w.ravel())
+
+
 def multiple_integral_j(f: KernelFunction, sample: Sample,
                         space: ProbabilitySpace) -> float:
     """(n^{k/2}/k!) * sum of f * prod(mu_n - mu) over distinct point tuples."""
     _check_shape(f, space)
-    k = f.k
-    nu = signed_increment(sample, space).weights
-    prod = f.table
-    for axis in range(k):
-        shape = [1] * k
-        shape[axis] = space.m
-        prod = prod * nu.reshape(shape)
-    total = prod[_offdiag_mask(space.m, k)].sum() if k > 1 else prod.sum()
-    n = sample.n
-    return float(n ** (k / 2) / factorial(k) * total)
-
-
-# ---------------------------------------------------------------------------
-# distinct-index sums via partition inclusion-exclusion (k <= 3)
-
-# partitions of {0..k-1} as (blocks, Mobius coefficient)
-_PARTITIONS = {
-    1: [(((0,),), 1.0)],
-    2: [(((0,), (1,)), 1.0), (((0, 1),), -1.0)],
-    3: [
-        (((0,), (1,), (2,)), 1.0),
-        (((0, 1), (2,)), -1.0),
-        (((0, 2), (1,)), -1.0),
-        (((1, 2), (0,)), -1.0),
-        (((0, 1, 2),), 2.0),
-    ],
-}
-
-
-def _distinct_index_sum(table: np.ndarray, cols, weights=None) -> float:
-    """Sum over distinct index tuples (j_1..j_k) of
-    prod_s w[j_s] * table[cols[s][j_s], ...]."""
-    k = table.ndim
-    if k not in _PARTITIONS:
-        raise ValueError(f"arity {k} not supported (k <= 3)")
-    m = table.shape[0]
-    total = 0.0
-    for blocks, mobius in _PARTITIONS[k]:
-        operands = [table, list(range(k))]
-        for block in blocks:
-            t = np.zeros((m,) * len(block))
-            if weights is None or len(block) % 2 == 0:
-                # sign weights square to 1 on even blocks
-                np.add.at(t, tuple(cols[s] for s in block), 1.0)
-            else:
-                np.add.at(t, tuple(cols[s] for s in block), weights)
-            operands.extend([t, list(block)])
-        operands.append([])
-        total += mobius * np.einsum(*operands)
-    return float(total)
+    return _flat_dot(f, increment_weights(sample, space, f.k))
 
 
 def u_statistic(f: KernelFunction, sample: Sample) -> float:
     """(1/k!) * sum of f over ordered distinct index tuples of one sample."""
-    k = f.k
-    if sample.n < k:
-        raise DegenerateSample(f"n={sample.n} < k={k}")
-    cols = [sample.values] * k
-    return _distinct_index_sum(f.table, cols) / factorial(k)
+    return _flat_dot(f, distinct_weights([sample.values] * f.k, f.m))
 
 
 def decoupled_u_statistic(f: KernelFunction, draw: SampleDraw) -> float:
     """As u_statistic but coordinate s reads from decoupled copy s."""
-    k = f.k
-    if draw.n < k:
-        raise DegenerateSample(f"n={draw.n} < k={k}")
-    cols = [draw.decoupled[s].values for s in range(k)]
-    return _distinct_index_sum(f.table, cols) / factorial(k)
+    cols = [draw.decoupled[s].values for s in range(f.k)]
+    return _flat_dot(f, distinct_weights(cols, f.m))
 
 
 def randomized_decoupled(f: KernelFunction, draw: SampleDraw) -> float:
     """Decoupled U-statistic with each term weighted by the product of the
     signs of its row indices."""
-    k = f.k
-    if draw.n < k:
-        raise DegenerateSample(f"n={draw.n} < k={k}")
-    cols = [draw.decoupled[s].values for s in range(k)]
-    return _distinct_index_sum(f.table, cols, weights=draw.signs) / factorial(k)
+    cols = [draw.decoupled[s].values for s in range(f.k)]
+    return _flat_dot(f, distinct_weights(cols, f.m, draw.signs))
 
 
 def mirrored_contrast(f: KernelFunction, draw: SampleDraw,
@@ -224,15 +228,12 @@ def mirrored_contrast(f: KernelFunction, draw: SampleDraw,
     The randomized and plain versions have identical joint distributions,
     which the exhaustive micro-tests check.
     """
-    k = f.k
-    weights = draw.signs if randomized else None
-    total = 0.0
-    for V in all_subsets(k):
-        cols = [draw.decoupled[s - 1].values if s in V else draw.mirrored[s - 1].values
-                for s in range(1, k + 1)]
-        term = _distinct_index_sum(f.table, cols, weights=weights) / factorial(k)
-        total += (-1) ** len(V) * term
-    return float(total)
+    signs = draw.signs if randomized else None
+    w = sum((-1) ** len(V) * distinct_weights(
+        [(draw.decoupled if s in V else draw.mirrored)[s - 1].values
+         for s in range(1, f.k + 1)], f.m, signs)
+        for V in all_subsets(f.k))
+    return _flat_dot(f, w)
 
 
 def h_integral(f: KernelFunction, draw: SampleDraw, rho: ProbabilitySpace) -> float:
@@ -243,14 +244,9 @@ def h_integral(f: KernelFunction, draw: SampleDraw, rho: ProbabilitySpace) -> fl
         raise ValueError("f must have arity k+1 with k >= 1")
     if f.table.shape[-1] != rho.m:
         raise ValueError("last coordinate of f does not match rho")
-    if draw.n < k:
-        raise DegenerateSample(f"n={draw.n} < k={k}")
-    cols = [draw.decoupled[s].values for s in range(k)]
-    total = 0.0
-    for y in range(rho.m):
-        stat = _distinct_index_sum(f.table[..., y], cols) / factorial(k)
-        total += rho.weights[y] * stat ** 2
-    return float(total)
+    w = distinct_weights([draw.decoupled[s].values for s in range(k)], f.m)
+    stats = np.tensordot(w, f.table, k)  # one decoupled statistic per y
+    return float(rho.weights @ stats ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +273,17 @@ def _expansion_row(f: KernelFunction, sample: Sample,
     built from the diagonal-free representative of f; with atoms this is
     what makes the identity exact."""
     k = f.k
-    n = sample.n
     if k > 1:
         f = KernelFunction(f.table * _offdiag_mask(space.m, k))
     decomp = hoeffding_decompose(f, space)
     row = np.zeros(k + 1)
     row[0] = decomp.constant
-    for V in all_subsets(k):
-        r = len(V)
-        if r == 0:
-            continue
-        row[r] += n ** (-r / 2) * u_statistic(decomp.component(V), sample)
+    for r in range(1, k + 1):
+        # one weight tensor serves every component of arity r
+        w = distinct_weights([sample.values] * r, space.m)
+        row[r] = sample.n ** (-r / 2) * sum(
+            _flat_dot(decomp.component(V), w)
+            for V in itertools.combinations(range(1, k + 1), r))
     return row
 
 
@@ -375,14 +371,9 @@ def exact_decoupled_second_moment(f: KernelFunction, space: ProbabilitySpace,
             itertools.product(range(space.m), repeat=n), repeat=k):
         cols = [np.array(c, dtype=np.int64) for c in configs]
         prob = float(np.prod([np.prod(space.weights[c]) for c in cols]))
-        stat = _distinct_index_sum(f.table, cols) / factorial(k)
-        total += prob * stat ** 2
+        total += prob * _flat_dot(f, distinct_weights(cols, space.m)) ** 2
     return total
 
 
 def ordered_distinct_tuple_count(n: int, k: int) -> int:
     return factorial(n) // factorial(n - k) if n >= k else 0
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

@@ -6,7 +6,7 @@ The numbered labels are stable identifiers for the release checklist.
 import dataclasses
 import itertools
 import time
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -19,10 +19,10 @@ from empint.decomposition import (all_subsets, canonicalize,
                                   hoeffding_decompose, is_canonical)
 from empint.experiments import exponent_fit, mc_sup_tail, \
     counterexample_experiment
-from empint.kernels import (KernelFunction, box_restriction_family,
+from empint.kernels import (BoxRestrictionFamily, KernelFunction,
                             epsilon_net, l2_norm, singleton_family)
 from empint.spaces import Sample, stream_rng, uniform_space
-from empint.statistics import (SampleDraw, binomial,
+from empint.statistics import (SampleDraw,
                                derive_expansion_coefficients,
                                exact_u_statistic_moment, mirrored_contrast,
                                ordered_distinct_tuple_count,
@@ -149,7 +149,7 @@ def test_04_expansion_identity_holdout():
     t0 = time.monotonic()
     ok = True
     sp = uniform_space(16)
-    for n, k in ((5, 2), (6, 2), (6, 3)):
+    for n, k in ((5, 2), (6, 2), (6, 3), (6, 4)):
         coeffs = derive_expansion_coefficients(n, k, sp, trials=30,
                                                seed=400 + 10 * n + k)
         worst = validate_expansion(coeffs, sp, pairs=20, seed=401)
@@ -164,7 +164,7 @@ def test_05_variance_identity_exact():
     t0 = time.monotonic()
     ok = True
     sp = uniform_space(3)
-    for k in (1, 2):
+    for k in (1, 2, 4):
         for n in range(max(2, k), 6):
             raw = stream_rng(500 + 10 * k + n, 0).standard_normal((3,) * k)
             sym = np.zeros_like(raw)
@@ -172,7 +172,7 @@ def test_05_variance_identity_exact():
                 sym += raw.transpose(perm)
             f = canonicalize(KernelFunction(sym / factorial(k)), sp)
             second = exact_u_statistic_moment(f, sp, n, power=2)
-            expected = binomial(n, k) * l2_norm(f, sp) ** 2
+            expected = comb(n, k) * l2_norm(f, sp) ** 2
             if abs(second - expected) > 1e-10:
                 ok = False
     _verdict(5, "variance-identity", ok, t0, 10.0)
@@ -222,7 +222,7 @@ def test_07_net_budget_and_cover():
     g = _bump(grid, 12, 20)
     base = {1: KernelFunction(g), 2: KernelFunction(np.outer(g, g))}
     for k in (1, 2):
-        fam = box_restriction_family(base[k], grid)
+        fam = BoxRestrictionFamily(base[k], grid)
         rng = stream_rng(700 + k, 0)
         for _ in range(50):
             nu = rng.dirichlet(np.ones(grid))

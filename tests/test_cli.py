@@ -151,6 +151,35 @@ def test_expansion_audit(tmp_path):
     assert len(payload["coefficients"]) == 3
 
 
+@pytest.mark.parametrize("cfg", [
+    _base_cfg(n=1, k=2, statistic="I"),
+    _base_cfg(n=1, k=2, statistic="decoupled-I"),
+    _base_cfg(experiment="decoupling", n=2, k=3),
+])
+def test_fewer_points_than_k_exits_2(tmp_path, capsys, cfg):
+    cfg.update(space={"points": 3, "weights": "uniform"},
+               family={"kind": "singleton", "table": np.ones((3,) * cfg["k"]).tolist()})
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert "config error: n: must be >= k" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_k4_accepted(tmp_path):
+    cfg = _base_cfg(n=6, k=4, statistic="I", reps=5, x_grid=[0.0, 1.0],
+                    space={"points": 3, "weights": "uniform"},
+                    family={"kind": "random-canonical", "count": 2,
+                            "kernel_seed": 4})
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 0
+    cfg = {"experiment": "expansion_audit", "seed": 7, "n": 5, "k": 4,
+           "space": {"points": 8, "weights": "uniform"},
+           "trials": 30, "holdout_pairs": 5}
+    out = tmp_path / "exp"
+    assert run(_write(tmp_path, cfg, "exp.json"), str(out)) == 0
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    assert payload["residual"] < 1e-8
+    assert len(payload["coefficients"]) == 5
+
+
 def test_counterexample_via_cli(tmp_path):
     cfg = {"experiment": "counterexample", "seed": 5, "sigma": 0.3, "n": 500,
            "epsilon": 0.5, "reps": 40}

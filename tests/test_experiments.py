@@ -8,7 +8,7 @@ from empint.chaos import exact_chaos_tail
 from empint.decomposition import canonicalize
 from empint import spaces, statistics
 from empint.kernels import BoxRestrictionFamily, KernelFunction, \
-    interval_family, interval_space, l2_norm, singleton_family
+    interval_family, l2_norm, singleton_family
 from empint.spaces import Sample, draw_sample, finite_space, stream_rng, \
     uniform_space
 from empint.statistics import (STREAMS_PER_DRAW, SampleDraw, draw_bundle,
@@ -205,7 +205,7 @@ def test_symmetrization_cap_at_x_zero():
 
 def test_symmetrization_population_inequality_with_slack():
     fam = interval_family(0.25, 16)
-    sp = interval_space(16)
+    sp = uniform_space(16)
     res = symmetrization_experiment(fam, sp, 1024, 0.35, 2000, seed=7)
     # population inequality plus both confidence slacks
     assert res.lhs_interval[0] <= res.rhs_interval[1] + 1e-12

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empint.kernels import (BoxRestrictionFamily, BudgetExceeded,
-                            ExplicitFamily, KernelFunction,
-                            box_restriction_family, epsilon_net,
-                            interval_family, interval_space, l2_norm,
-                            product_weights, singleton_family, sup_norm)
+                            ExplicitFamily, KernelFunction, epsilon_net,
+                            interval_family, l2_norm, product_weights,
+                            singleton_family, sup_norm)
 from empint.spaces import finite_space, stream_rng, uniform_space
 
 
@@ -73,7 +72,7 @@ def test_interval_family_half():
 def test_interval_family_l2_within_sigma():
     sigma = 0.5
     fam = interval_family(sigma, 8)
-    sp = interval_space(8)
+    sp = uniform_space(8)
     for f in fam.members:
         assert l2_norm(f, sp) <= sigma + 1e-12
 
@@ -104,7 +103,7 @@ def _base_kernel(m=8, k=2, width=3, seed=0):
 
 def test_box_family_contains_identity_restriction():
     f = _base_kernel()
-    fam = box_restriction_family(f, 8)
+    fam = BoxRestrictionFamily(f, 8)
     full = [i for i, box in enumerate(fam.boxes)
             if all(u == 0 and v == 8 for u, v in box)]
     assert len(full) == 1
@@ -113,7 +112,7 @@ def test_box_family_contains_identity_restriction():
 
 def test_box_family_empty_box_is_zero():
     f = _base_kernel()
-    fam = box_restriction_family(f, 8)
+    fam = BoxRestrictionFamily(f, 8)
     empty = [i for i, box in enumerate(fam.boxes) if any(u == v for u, v in box)]
     assert empty
     assert np.all(fam.member(empty[0]).table == 0.0)
@@ -177,7 +176,7 @@ def _net_is_sound(fam, nu, eps):
 
 def test_net_soundness_interval_family():
     fam = interval_family(0.5, 8)
-    sp = interval_space(8)
+    sp = uniform_space(8)
     for eps in (1.0, 0.5, 0.25):
         assert _net_is_sound(fam, sp, eps)
 

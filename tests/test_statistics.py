@@ -10,8 +10,10 @@ from empint.kernels import KernelFunction
 from empint.spaces import (Sample, draw_sample, finite_space, stream_rng,
                            uniform_space)
 from empint.statistics import (STREAMS_PER_DRAW, DegenerateSample,
-                               ResidualTooLarge, SampleDraw, binomial, decoupled_u_statistic,
-                               derive_expansion_coefficients, draw_bundle,
+                               ResidualTooLarge, SampleDraw, _partitions,
+                               decoupled_u_statistic,
+                               derive_expansion_coefficients,
+                               distinct_weights, draw_bundle,
                                enumerate_configurations,
                                exact_decoupled_second_moment,
                                exact_u_statistic_moment, h_integral,
@@ -95,6 +97,35 @@ def test_u_statistic_constant_counts():
 def test_u_statistic_degenerate_sample():
     with pytest.raises(DegenerateSample):
         u_statistic(KernelFunction(np.zeros((2, 2))), _sample([0]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_distinct_weights_match_brute_force(k):
+    m, n = 3, 6
+    rng = stream_rng(30 + k, 0)
+    cols = [rng.integers(0, m, size=n) for _ in range(k)]
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    plain = np.zeros((m,) * k)
+    signed = np.zeros((m,) * k)
+    for tup in itertools.permutations(range(n), k):
+        point = tuple(cols[s][tup[s]] for s in range(k))
+        plain[point] += 1.0
+        signed[point] += np.prod(signs[list(tup)])
+    assert np.allclose(distinct_weights(cols, m), plain / factorial(k),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(distinct_weights(cols, m, signs), signed / factorial(k),
+                       rtol=0, atol=1e-12)
+
+
+def test_partitions_count_and_mobius_weights():
+    for k, bell in zip(range(1, 6), (1, 2, 5, 15, 52)):
+        parts = _partitions(k)
+        assert len(parts) == bell
+        assert len({frozenset(map(frozenset, p)) for p, _ in parts}) == bell
+        for p, _ in parts:
+            assert sorted(i for block in p for i in block) == list(range(k))
+        if k >= 2:
+            assert sum(w for _, w in parts) == 0
 
 
 def test_u_statistic_matches_naive_sum():
@@ -308,8 +339,7 @@ def test_enumeration_probabilities_sum_to_one():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_binomial_helper():
-    assert binomial(5, 2) == 10
+def test_ordered_distinct_tuple_count():
     assert ordered_distinct_tuple_count(4, 2) == 12
     assert ordered_distinct_tuple_count(1, 2) == 0
 
@@ -397,3 +427,9 @@ def test_expansion_rejects_too_few_trials():
 def test_expansion_rejects_degenerate():
     with pytest.raises(DegenerateSample):
         derive_expansion_coefficients(1, 2, uniform_space(4), trials=30, seed=0)
+
+
+def test_mirrored_contrast_degenerate_sample():
+    draw = draw_bundle(uniform_space(3), 1, 2, seed=21)
+    with pytest.raises(DegenerateSample):
+        mirrored_contrast(_random_kernel(3, 2, 21), draw)
