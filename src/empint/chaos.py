@@ -20,6 +20,9 @@ ENUMERATION_LIMIT = 24
 class EnumerationRefused(Exception):
     """2^n enumeration requested beyond the desk-scale cutoff."""
 
+    def __init__(self, n: int):
+        super().__init__(f"n={n} exceeds the 2^{ENUMERATION_LIMIT} enumeration cutoff")
+
 
 @dataclass(frozen=True)
 class ChaosCoefficients:
@@ -35,6 +38,8 @@ class ChaosCoefficients:
         vals = np.asarray(self.values, dtype=float).ravel()
         if idx.shape[0] != vals.size:
             raise ValueError("index/value length mismatch")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("coefficient values must be finite")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError("index out of range")
         for a in range(self.k):
@@ -131,24 +136,25 @@ def optimal_q_tail(x: float, S: float, k: int):
 # exact enumeration via the fast Walsh-Hadamard transform
 
 def _fwht(v: np.ndarray) -> np.ndarray:
-    """In-order Walsh-Hadamard transform: out[b] = sum_s v[s] * (-1)^{popcount(b & s)}."""
-    v = v.copy()
+    """In-order Walsh-Hadamard transform, in place: v[b] becomes
+    sum_s v[s] * (-1)^{popcount(b & s)}.  v must be a contiguous float array
+    whose length is a power of two; it is returned."""
     h = 1
-    m = v.size
-    while h < m:
-        v = v.reshape(-1, 2 * h)
-        left = v[:, :h] + v[:, h:]
-        right = v[:, :h] - v[:, h:]
-        v = np.concatenate([left, right], axis=1)
+    while h < v.size:
+        pairs = v.reshape(-1, 2, h)  # a view: [:, 0] are the left halves
+        left, right = pairs[:, 0], pairs[:, 1]
+        diff = left - right
+        left += right
+        right[...] = diff
         h *= 2
-    return v.ravel()
+    return v
 
 
 def chaos_values_all_signs(coeffs: ChaosCoefficients) -> np.ndarray:
     """Z over all 2^n sign vectors; entry b corresponds to eps_j = (-1)^{bit j of b}."""
     n = coeffs.n
     if n > ENUMERATION_LIMIT:
-        raise EnumerationRefused(f"n={n} exceeds the 2^{ENUMERATION_LIMIT} cutoff")
+        raise EnumerationRefused(n)
     c = np.zeros(1 << n)
     masks = np.bitwise_or.reduce(1 << coeffs.index_tuples.astype(np.int64), axis=1) \
         if coeffs.values.size else np.array([], dtype=np.int64)
@@ -156,12 +162,22 @@ def chaos_values_all_signs(coeffs: ChaosCoefficients) -> np.ndarray:
     return _fwht(c)
 
 
-def exact_chaos_tail(coeffs: ChaosCoefficients, x: float) -> float:
-    """Exact P(|Z| > x) by enumeration of all sign vectors."""
-    if x < 0:
-        return 1.0
-    z = chaos_values_all_signs(coeffs)
-    return float(np.count_nonzero(np.abs(z) > x) / z.size)
+def exact_chaos_tail(coeffs: ChaosCoefficients, x):
+    """Exact P(|Z| > x) by enumeration of all sign vectors.
+
+    x is a scalar, giving a float, or an array, giving one tail per entry:
+    all of them come from a single enumeration whose |Z| is sorted once.
+    Nothing is enumerated when no x is >= 0, since every tail is then 1.
+    """
+    xs = np.asarray(x, dtype=float)
+    if xs.size == 0 or xs.max() < 0:
+        tails = np.ones(xs.shape)
+    else:
+        z = chaos_values_all_signs(coeffs)
+        np.abs(z, out=z)
+        z.sort()
+        tails = (z.size - np.searchsorted(z, xs, side="right")) / z.size
+    return float(tails) if xs.ndim == 0 else tails
 
 
 def exact_chaos_moment(coeffs: ChaosCoefficients, q: float) -> float:

@@ -18,8 +18,9 @@ import numpy as np
 from . import __version__
 from .bounds import (BoundConstants, NotApplicable, chaining_schedule,
                      corollary2_bound, theorem_bound)
-from .chaos import (ChaosCoefficients, chaos_s, chaos_tail_bound,
-                    exact_chaos_tail, EnumerationRefused, optimal_q_tail)
+from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
+                    chaos_tail_bound, exact_chaos_tail, EnumerationRefused,
+                    optimal_q_tail)
 from .decomposition import canonicalize
 from .kernels import (BoxRestrictionFamily, BudgetExceeded, ExplicitFamily,
                       KernelFunction, interval_family, l2_norm,
@@ -109,8 +110,13 @@ def _build_family(spec, field: str, space: ProbabilitySpace, k: int):
             raw = KernelFunction(rng.standard_normal((space.m,) * k))
             kernels.append(canonicalize(raw, space))
         sigma = max(l2_norm(f, space) for f in kernels)
-        return ExplicitFamily(kernels, D=float(count), L=1.0,
-                              sigma=min(1.0, sigma) if sigma <= 1 else 1.0)
+        if sigma > 1:
+            # scale every member so sigma <= 1 holds; the 1e-12 slack keeps
+            # the rescaled norms from rounding above 1
+            kernels = [KernelFunction(f.table / (sigma * (1 + 1e-12)))
+                       for f in kernels]
+            sigma = max(l2_norm(f, space) for f in kernels)
+        return ExplicitFamily(kernels, D=float(count), L=1.0, sigma=sigma)
     raise ConfigError(f"{field}.kind", f"unknown family kind {kind!r}")
 
 
@@ -216,10 +222,10 @@ def execute(cfg: dict, workers: int = 1):
         consts = BoundConstants.from_dict(1, cfg.get("constants"))
         D, L = 4.0, 2.0
         rows = [
-            _prob_row(res.x_low, round(res.p_low * reps), reps, 1, res.sigma,
-                      n, D, L, 0.0, consts),
-            _prob_row(res.x_high, round(res.p_high * reps), reps, 1, res.sigma,
-                      n, D, L, 0.0, consts),
+            _prob_row(res.x_low, res.hits_low, reps, 1, res.sigma, n, D, L,
+                      0.0, consts),
+            _prob_row(res.x_high, res.hits_high, reps, 1, res.sigma, n, D, L,
+                      0.0, consts),
         ]
         payload = {"x_star": res.x_star, "x_low": res.x_low, "p_low": res.p_low,
                    "x_high": res.x_high, "p_high": res.p_high,
@@ -260,6 +266,8 @@ def execute(cfg: dict, workers: int = 1):
     if exp == "chaos_audit":
         n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
         k = _require(cfg, "k", int, lambda v: v >= 1, "must be >= 1")
+        if n > ENUMERATION_LIMIT:
+            raise EnumerationRefused(n)
         spec = cfg.get("coefficients")
         if not isinstance(spec, dict):
             raise ConfigError("coefficients", "expected an object with index_tuples and values")
@@ -274,12 +282,10 @@ def execute(cfg: dict, workers: int = 1):
         grid = _build_x_grid(cfg.get("x_grid", []), "x_grid")
         S = chaos_s(coeffs)
         rows = []
-        for x in grid:
-            p = exact_chaos_tail(coeffs, float(x))
-            q, opt = (optimal_q_tail(float(x), S, k) if x > 0 and S > 0
-                      else (0.0, 1.0))
-            rows.append({"x": float(x), "p": p, "ci_lo": p, "ci_hi": p,
-                         "theorem_bound": chaos_tail_bound(float(x), S, k),
+        for x, p in zip(grid.tolist(), exact_chaos_tail(coeffs, grid).tolist()):
+            q, opt = optimal_q_tail(x, S, k) if x > 0 and S > 0 else (0.0, 1.0)
+            rows.append({"x": x, "p": p, "ci_lo": p, "ci_hi": p,
+                         "theorem_bound": chaos_tail_bound(x, S, k),
                          "corollary_bound": opt, "applicable": q >= 2})
         payload = {"S": S, "exact_tail": [[r["x"], r["p"]] for r in rows]}
         return payload, rows
@@ -303,7 +309,7 @@ def execute(cfg: dict, workers: int = 1):
                    "rhs": res.rhs, "rhs_interval": list(res.rhs_interval),
                    "replications": reps}
         rows = [
-            _prob_row(res.x, round(res.lhs * reps), reps, k, family.sigma, n,
+            _prob_row(res.x, res.lhs_hits, reps, k, family.sigma, n,
                       family.D, family.L, family.beta, consts),
         ]
         return payload, rows

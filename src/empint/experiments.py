@@ -136,6 +136,7 @@ class SymmetrizationResult:
     rhs: float
     rhs_interval: tuple
     replications: int
+    lhs_hits: int  # replications with sup >= x; lhs = lhs_hits / replications
 
 
 def _symmetrization_block(args):
@@ -178,6 +179,7 @@ def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
         rhs=min(1.0, 4.0 * rhs_p),
         rhs_interval=(min(1.0, 4.0 * rlo), min(1.0, 4.0 * rhi)),
         replications=reps,
+        lhs_hits=lhs_hits,
     )
 
 
@@ -232,6 +234,8 @@ class CounterexampleResult:
     p_high: float
     replications: int
     grid: int
+    hits_low: int  # replications with sup >= x_low; p_low = hits_low / replications
+    hits_high: int
 
 
 def _counterexample_block(args):
@@ -265,11 +269,13 @@ def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
     x_star = sqrt(2.0 * log(1.0 / sigma)) * sigma
     x_low = (1 - epsilon) * x_star
     x_high = (1 + epsilon) * x_star
+    hits_low = int(np.count_nonzero(sups >= x_low))
+    hits_high = int(np.count_nonzero(sups >= x_high))
     return CounterexampleResult(
         sigma=sigma, x_star=x_star,
-        x_low=x_low, p_low=float(np.mean(sups >= x_low)),
-        x_high=x_high, p_high=float(np.mean(sups >= x_high)),
-        replications=reps, grid=grid,
+        x_low=x_low, p_low=hits_low / reps,
+        x_high=x_high, p_high=hits_high / reps,
+        replications=reps, grid=grid, hits_low=hits_low, hits_high=hits_high,
     )
 
 

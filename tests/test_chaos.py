@@ -1,14 +1,17 @@
 import itertools
+import json
 from math import exp, factorial, sqrt
 
 import numpy as np
 import pytest
 
-from empint.chaos import (ChaosCoefficients, EnumerationRefused,
+from empint import chaos
+from empint.chaos import (ChaosCoefficients, EnumerationRefused, _fwht,
                           chaos_moment_bound, chaos_s, chaos_tail_bound,
                           chaos_value, chaos_values_all_signs,
                           exact_chaos_moment, exact_chaos_tail,
                           optimal_q_tail, symmetrized_s_bar_squared)
+from empint.cli import run
 from empint.spaces import stream_rng
 
 
@@ -67,6 +70,12 @@ def test_chaos_value_affine_check_uses_pm_one_signs_only_in_api():
 def test_rejects_repeated_index_tuples():
     with pytest.raises(ValueError):
         _coeffs(4, 2, [[1, 1]], [1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        _coeffs(4, 2, [[0, 1], [1, 2]], [1.0, bad])
 
 
 def test_chaos_s_examples():
@@ -131,10 +140,79 @@ def test_exact_tail_two_coin_case():
     assert exact_chaos_tail(c, 1.5) == pytest.approx(0.5)
 
 
+def test_array_tail_matches_scalar_calls_and_direct_count():
+    cases = [_random_coeffs(6, 1, seed=70), _random_coeffs(8, 2, seed=71),
+             _random_coeffs(9, 3, seed=72),
+             _coeffs(5, 2, list(itertools.permutations(range(5), 2)), np.ones(20))]
+    for c in cases:
+        a = np.abs(chaos_values_all_signs(c))
+        # every attained |Z| (ties included), 0, max |Z|, and negative x
+        xs = np.concatenate([np.unique(a), [0.0, -0.0, a.max(), -0.5, -np.inf,
+                                            a.max() + 1.0]])
+        tails = exact_chaos_tail(c, xs)
+        assert tails.shape == xs.shape
+        for x, p in zip(xs.tolist(), tails.tolist()):
+            assert p == exact_chaos_tail(c, x)
+            assert p == np.count_nonzero(a > x) / a.size
+
+
+def _no_enumeration(coeffs):
+    raise AssertionError("enumerated all sign vectors")
+
+
+def test_negative_x_tails_enumerate_nothing(monkeypatch):
+    monkeypatch.setattr(chaos, "chaos_values_all_signs", _no_enumeration)
+    c = _coeffs(2, 1, [[0], [1]], [1.0, 1.0])
+    assert exact_chaos_tail(c, -0.5) == 1.0
+    assert exact_chaos_tail(c, np.array([-2.0, -1.0])).tolist() == [1.0, 1.0]
+    assert exact_chaos_tail(c, np.array([])).size == 0
+
+
+def test_chaos_audit_enumerates_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs.n)
+        return chaos_values_all_signs(coeffs)
+    monkeypatch.setattr(chaos, "chaos_values_all_signs", counted)
+    c = _random_coeffs(10, 2, seed=73, max_terms=30)
+    cfg = {"experiment": "chaos_audit", "seed": 0, "n": 10, "k": 2,
+           "coefficients": {"index_tuples": c.index_tuples.tolist(),
+                            "values": c.values.tolist()},
+           "x_grid": {"start": 0.0, "stop": 10.0, "points": 16}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 0
+    assert calls == [10]
+    rows = (tmp_path / "out" / "curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 16
+
+
 def test_enumeration_refused():
     c = _coeffs(25, 1, [[0]], [1.0])
     with pytest.raises(EnumerationRefused):
         chaos_values_all_signs(c)
+
+
+def _fwht_concatenate(v):
+    """The out-of-place transform that _fwht replaced, kept as its reference."""
+    v = v.copy()
+    h = 1
+    while h < v.size:
+        v = v.reshape(-1, 2 * h)
+        v = np.concatenate([v[:, :h] + v[:, h:], v[:, :h] - v[:, h:]], axis=1)
+        h *= 2
+    return v.ravel()
+
+
+def test_in_place_fwht_is_bit_identical_to_concatenate_transform():
+    rng = stream_rng(60, 0)
+    for n in range(13):
+        v = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-8, 9, 1 << n)
+        buf = v.copy()
+        out = _fwht(buf)
+        assert np.shares_memory(out, buf)
+        assert np.array_equal(out, _fwht_concatenate(v))
 
 
 def test_fwht_matches_direct_evaluation():

@@ -4,10 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from empint import chaos, cli
 from empint.bounds import BoundConstants
-from empint.cli import (CURVE_HEADER, ConfigError, execute, load_config, main,
-                        overlay_bounds, run)
+from empint.cli import (CURVE_HEADER, ConfigError, _build_family, execute,
+                        load_config, main, overlay_bounds, run)
 from empint.experiments import TailCurve
+from empint.kernels import l2_norm
+from empint.spaces import finite_space, uniform_space
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -123,6 +126,24 @@ def test_chaos_audit_matches_hand_enumeration(tmp_path):
     assert probs == pytest.approx([0.625, 0.625, 0.125, 0.125, 0.0])
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("called after the enumeration cutoff was exceeded")
+
+
+@pytest.mark.parametrize("x_grid", [[], [0.5, 1.0]])
+def test_chaos_audit_refuses_n_above_limit_before_building(tmp_path, capsys,
+                                                           monkeypatch, x_grid):
+    monkeypatch.setattr(cli, "ChaosCoefficients", _never_called)
+    monkeypatch.setattr(chaos, "chaos_values_all_signs", _never_called)
+    cfg = {"experiment": "chaos_audit", "seed": 0, "n": 25, "k": 1,
+           "coefficients": {"index_tuples": [[0]], "values": [1.0]},
+           "x_grid": x_grid}
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical check failed: n=25 exceeds the 2^24 enumeration cutoff"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_schedule_audit_not_applicable_exits_3(tmp_path, capsys):
     cfg = {"experiment": "schedule_audit", "seed": 0, "n": 10, "k": 1,
            "sigma": 0.1, "x": 50.0, "A_bar": 2.0, "D": 1.0, "L": 1.0}
@@ -180,6 +201,28 @@ def test_k4_accepted(tmp_path):
     assert len(payload["coefficients"]) == 5
 
 
+# curve.csv of these two configs as written when the CLI still recovered hit
+# counts as round(p * reps); the counts carried in the results must give the
+# same bytes
+PINNED_CURVES = [
+    ({"experiment": "counterexample", "seed": 5, "sigma": 0.3, "n": 500,
+      "epsilon": 0.5, "reps": 40},
+     "0.232763348048,1,0.912378398803,1,1,1,0\n"
+     "0.698290044145,0.175,0.0874541374604,0.319499903318,1,1,0\n"),
+    ({"experiment": "symmetrization", "seed": 3, "n": 128, "k": 1,
+      "reps": 200, "x": 0.4, "space": {"points": 16, "weights": "uniform"},
+      "family": {"kind": "interval", "sigma": 0.5, "grid": 16}},
+     "0.4,0.995,0.972226295602,0.999116831284,1,1,0\n"),
+]
+
+
+@pytest.mark.parametrize("cfg, rows", PINNED_CURVES)
+def test_hit_count_rows_match_pinned_curve(tmp_path, cfg, rows):
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), str(out)) == 0
+    assert (out / "curve.csv").read_text() == CURVE_HEADER + "\n" + rows
+
+
 def test_counterexample_via_cli(tmp_path):
     cfg = {"experiment": "counterexample", "seed": 5, "sigma": 0.3, "n": 500,
            "epsilon": 0.5, "reps": 40}
@@ -226,6 +269,19 @@ def test_random_canonical_family(tmp_path):
                             "kernel_seed": 4},
                     x_grid=[0.0, 1.0, 2.0], statistic="I", n=32)
     assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("space, k, count", [
+    (uniform_space(4), 2, 3), (uniform_space(16), 2, 5), (uniform_space(3), 4, 2),
+    (uniform_space(5), 1, 4), (uniform_space(8), 3, 3),
+    (finite_space(np.array([0.5, 0.2, 0.2, 0.1])), 2, 4),
+])
+def test_random_canonical_members_meet_sigma(space, k, count):
+    for kernel_seed in range(8):
+        family = _build_family({"kind": "random-canonical", "count": count,
+                                "kernel_seed": kernel_seed}, "family", space, k)
+        norms = [l2_norm(f, space) for f in family.members]
+        assert max(norms) <= family.sigma <= 1.0
 
 
 def test_explicit_weights_space(tmp_path):
