@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from math import sqrt
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
     validate_expansion
 from .experiments import (counterexample_experiment, decoupling_experiment,
                           exponent_fit, mc_sup_tail, symmetrization_experiment,
-                          TailCurve, TooFewQualifyingPoints, wilson_interval)
+                          TailCurve, TooFewQualifyingPoints)
 
 CURVE_HEADER = "x,p,ci_lo,ci_hi,theorem_bound,corollary_bound,applicable"
 
@@ -131,6 +130,8 @@ def _build_x_grid(spec, field: str) -> np.ndarray:
         grid = np.linspace(float(start), float(stop), points)
     else:
         raise ConfigError(field, "expected a list or {start, stop, points}")
+    if not np.all(np.isfinite(grid)) or np.any(grid < 0):
+        raise ConfigError(field, "every x must be finite and >= 0")
     if grid.size and np.any(np.diff(grid) <= 0):
         raise ConfigError(field, "must be strictly increasing")
     return grid
@@ -188,14 +189,6 @@ def _curve_payload(curve: TailCurve):
             "replications": curve.replications}
 
 
-def _prob_row(x, hits, reps, k, sigma, n, D, L, beta, consts):
-    lo, hi = wilson_interval(hits, reps)
-    tb, app = theorem_bound(x, n, k, sigma, D, L, beta, consts)
-    return {"x": x, "p": hits / reps, "ci_lo": lo, "ci_hi": hi,
-            "theorem_bound": tb, "corollary_bound": corollary2_bound(x, k, consts),
-            "applicable": app}
-
-
 def execute(cfg: dict, workers: int = 1):
     """Run the configured experiment; returns (payload dict, curve rows)."""
     exp = cfg["experiment"]
@@ -220,13 +213,8 @@ def execute(cfg: dict, workers: int = 1):
         except ValueError as e:
             raise ConfigError("sigma", str(e))
         consts = BoundConstants.from_dict(1, cfg.get("constants"))
-        D, L = 4.0, 2.0
-        rows = [
-            _prob_row(res.x_low, res.hits_low, reps, 1, res.sigma, n, D, L,
-                      0.0, consts),
-            _prob_row(res.x_high, res.hits_high, reps, 1, res.sigma, n, D, L,
-                      0.0, consts),
-        ]
+        # D = 4, L = 2: the budget of interval_family
+        rows = overlay_bounds(res.curve, 1, res.sigma, 4.0, 2.0, 0.0, n, consts)
         payload = {"x_star": res.x_star, "x_low": res.x_low, "p_low": res.p_low,
                    "x_high": res.x_high, "p_high": res.p_high,
                    "grid": res.grid, "replications": reps}
@@ -308,10 +296,8 @@ def execute(cfg: dict, workers: int = 1):
         payload = {"x": res.x, "lhs": res.lhs, "lhs_interval": list(res.lhs_interval),
                    "rhs": res.rhs, "rhs_interval": list(res.rhs_interval),
                    "replications": reps}
-        rows = [
-            _prob_row(res.x, res.lhs_hits, reps, k, family.sigma, n,
-                      family.D, family.L, family.beta, consts),
-        ]
+        rows = overlay_bounds(res.curve, k, family.sigma, family.D, family.L,
+                              family.beta, n, consts)
         return payload, rows
 
     grid = _build_x_grid(cfg.get("x_grid"), "x_grid")

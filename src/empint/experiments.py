@@ -15,7 +15,8 @@ from math import factorial, log, sqrt
 import numpy as np
 
 from .chaos import ChaosCoefficients
-from .kernels import FunctionFamily, interval_family
+from .kernels import ExplicitFamily, FunctionFamily, KernelFunction, \
+    interval_family
 from .spaces import ProbabilitySpace, signed_increment, uniform_space
 from .statistics import SampleDraw, distinct_weights, draw_bundle, \
     increment_weights
@@ -78,37 +79,47 @@ def _member_matrix(family: FunctionFamily) -> np.ndarray:
 def statistic_weights(kind: str, draw: SampleDraw, space: ProbabilitySpace,
                       k: int) -> np.ndarray:
     """Flat weight vector so that the statistic of any arity-k kernel f is
-    flat(f.table) @ weights."""
+    flat(f.table) @ weights.  Besides the sup_tail kinds, "randomized-I" is
+    the sign-randomized I (symmetrization) and "increment" the bare signed
+    increment mu_n - mu at k=1 (counterexample)."""
     if kind == "J":
         w = increment_weights(draw.base, space, k)
     elif kind == "I":
         w = distinct_weights([draw.base.values] * k, space.m)
+    elif kind == "randomized-I":
+        w = distinct_weights([draw.base.values] * k, space.m, draw.signs)
     elif kind == "decoupled-I":
         w = distinct_weights([s.values for s in draw.decoupled], space.m)
+    elif kind == "increment":
+        w = signed_increment(draw.base, space).weights
     else:
         raise ValueError(f"unknown statistic kind {kind!r}")
     return w.ravel()
 
 
 def _sup_block(args):
-    (family, space, n, k, kind, seed, replicas) = args
+    """(replications x kinds) suprema over the family of each statistic of
+    one draw per replication; only "increment" is one-sided."""
+    (family, space, n, k, kinds, seed, replicas) = args
     F = _member_matrix(family)
-    out = np.empty(len(replicas))
+    out = np.empty((len(replicas), len(kinds)))
     for i, r in enumerate(replicas):
         draw = draw_bundle(space, n, k, seed, replica=r)
-        w = statistic_weights(kind, draw, space, k)
-        out[i] = np.max(np.abs(F @ w))
+        for j, kind in enumerate(kinds):
+            v = F @ statistic_weights(kind, draw, space, k)
+            out[i, j] = np.max(v) if kind == "increment" else np.max(np.abs(v))
     return out
 
 
-def _run_blocks(fn, args_template, reps: int, workers: int) -> np.ndarray:
+def _run_blocks(args_template, reps: int, workers: int) -> np.ndarray:
+    """_sup_block over `reps` replications split into one block per worker."""
     blocks = np.array_split(np.arange(reps), max(1, min(workers, reps)))
     tasks = [args_template + (list(block),) for block in blocks if block.size]
     if workers <= 1:
-        parts = [fn(t) for t in tasks]
+        parts = [_sup_block(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, tasks))
+            parts = list(pool.map(_sup_block, tasks))
     return np.concatenate(parts)
 
 
@@ -120,9 +131,9 @@ def mc_sup_tail(family: FunctionFamily, space: ProbabilitySpace, n: int, k: int,
         raise ValueError("reps must be >= 1")
     if family.k != k:
         raise ValueError("family arity does not match k")
-    maxima = _run_blocks(_sup_block, (family, space, n, k, statistic_kind, seed),
-                         reps, workers)
-    return TailCurve.from_maxima(maxima, x_grid)
+    maxima = _run_blocks((family, space, n, k, (statistic_kind,), seed), reps,
+                         workers)
+    return TailCurve.from_maxima(maxima[:, 0], x_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +147,7 @@ class SymmetrizationResult:
     rhs: float
     rhs_interval: tuple
     replications: int
-    lhs_hits: int  # replications with sup >= x; lhs = lhs_hits / replications
-
-
-def _symmetrization_block(args):
-    (F, space, n, seed, replicas) = args
-    plain = np.empty(len(replicas))
-    randomized = np.empty(len(replicas))
-    for i, r in enumerate(replicas):
-        draw = draw_bundle(space, n, 1, seed, replica=r)
-        counts = distinct_weights([draw.base.values], space.m)
-        signed_counts = distinct_weights([draw.base.values], space.m, draw.signs)
-        plain[i] = np.max(np.abs(F @ counts)) / sqrt(n)
-        randomized[i] = np.max(np.abs(F @ signed_counts)) / sqrt(n)
-    return np.stack([plain, randomized], axis=1)
+    curve: TailCurve  # tail of the plain supremum at x; lhs is read from it
 
 
 def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
@@ -165,21 +163,23 @@ def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
     if family.k != 1:
         raise ValueError("symmetrization experiment needs a k=1 family")
     F = _member_matrix(family)
-    F = F - (F @ space.weights)[:, None]
-    both = _run_blocks(_symmetrization_block, (F, space, n, seed), reps, workers)
-    lhs_hits = int(np.count_nonzero(both[:, 0] >= x))
-    rhs_hits = int(np.count_nonzero(both[:, 1] >= x / 3.0))
-    lhs = lhs_hits / reps
-    rhs_p = rhs_hits / reps
-    rlo, rhi = wilson_interval(rhs_hits, reps)
+    centered = ExplicitFamily([KernelFunction(row) for row in
+                              F - (F @ space.weights)[:, None]],
+                             D=family.D, L=family.L, beta=family.beta,
+                             sigma=family.sigma)
+    both = _run_blocks((centered, space, n, 1, ("I", "randomized-I"), seed),
+                       reps, workers) / sqrt(n)
+    curve = TailCurve.from_maxima(both[:, 0], [x])
+    randomized = TailCurve.from_maxima(both[:, 1], [x / 3.0])
     return SymmetrizationResult(
         x=x,
-        lhs=lhs,
-        lhs_interval=wilson_interval(lhs_hits, reps),
-        rhs=min(1.0, 4.0 * rhs_p),
-        rhs_interval=(min(1.0, 4.0 * rlo), min(1.0, 4.0 * rhi)),
+        lhs=float(curve.probs[0]),
+        lhs_interval=(float(curve.ci_lo[0]), float(curve.ci_hi[0])),
+        rhs=min(1.0, 4.0 * float(randomized.probs[0])),
+        rhs_interval=(min(1.0, 4.0 * float(randomized.ci_lo[0])),
+                      min(1.0, 4.0 * float(randomized.ci_hi[0]))),
         replications=reps,
-        lhs_hits=lhs_hits,
+        curve=curve,
     )
 
 
@@ -193,17 +193,6 @@ class DecouplingResult:
     ratio: np.ndarray  # decoupled prob / coupled prob per grid point (nan-safe)
 
 
-def _decoupling_block(args):
-    (family, space, n, k, seed, replicas) = args
-    F = _member_matrix(family)
-    out = np.empty((len(replicas), 2))
-    for i, r in enumerate(replicas):
-        draw = draw_bundle(space, n, k, seed, replica=r)
-        out[i, 0] = np.max(np.abs(F @ statistic_weights("I", draw, space, k)))
-        out[i, 1] = np.max(np.abs(F @ statistic_weights("decoupled-I", draw, space, k)))
-    return out
-
-
 def decoupling_experiment(family: FunctionFamily, space: ProbabilitySpace,
                           n: int, k: int, x_grid, reps: int, seed: int,
                           workers: int = 1) -> DecouplingResult:
@@ -213,7 +202,8 @@ def decoupling_experiment(family: FunctionFamily, space: ProbabilitySpace,
     inequality is asserted here."""
     if k < 2:
         raise ValueError("decoupling is vacuous at k=1")
-    both = _run_blocks(_decoupling_block, (family, space, n, k, seed), reps, workers)
+    both = _run_blocks((family, space, n, k, ("I", "decoupled-I"), seed), reps,
+                       workers)
     coupled = TailCurve.from_maxima(both[:, 0], x_grid)
     dec = TailCurve.from_maxima(both[:, 1], x_grid)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,18 +224,7 @@ class CounterexampleResult:
     p_high: float
     replications: int
     grid: int
-    hits_low: int  # replications with sup >= x_low; p_low = hits_low / replications
-    hits_high: int
-
-
-def _counterexample_block(args):
-    (F, space, n, seed, replicas) = args
-    out = np.empty(len(replicas))
-    for i, r in enumerate(replicas):
-        draw = draw_bundle(space, n, 1, seed, replica=r)
-        nu = signed_increment(draw.base, space).weights
-        out[i] = np.max(F @ nu) * sqrt(n)
-    return out
+    curve: TailCurve  # tail at (x_low, x_high); p_low and p_high are read from it
 
 
 def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
@@ -264,18 +243,17 @@ def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
     space = uniform_space(grid)
     if n * sigma ** 2 < 8:
         raise ValueError("n sigma^2 too small for non-degenerate increments")
-    F = _member_matrix(family)
-    sups = _run_blocks(_counterexample_block, (F, space, n, seed), reps, workers)
+    sups = _run_blocks((family, space, n, 1, ("increment",), seed), reps,
+                       workers)[:, 0] * sqrt(n)
     x_star = sqrt(2.0 * log(1.0 / sigma)) * sigma
     x_low = (1 - epsilon) * x_star
     x_high = (1 + epsilon) * x_star
-    hits_low = int(np.count_nonzero(sups >= x_low))
-    hits_high = int(np.count_nonzero(sups >= x_high))
+    curve = TailCurve.from_maxima(sups, [x_low, x_high])
     return CounterexampleResult(
         sigma=sigma, x_star=x_star,
-        x_low=x_low, p_low=hits_low / reps,
-        x_high=x_high, p_high=hits_high / reps,
-        replications=reps, grid=grid, hits_low=hits_low, hits_high=hits_high,
+        x_low=x_low, p_low=float(curve.probs[0]),
+        x_high=x_high, p_high=float(curve.probs[1]),
+        replications=reps, grid=grid, curve=curve,
     )
 
 

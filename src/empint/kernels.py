@@ -122,13 +122,17 @@ class FunctionFamily:
         group = np.empty(len(self), dtype=np.int64)
         tables = []
         for i in range(len(self)):
-            key = self.member(i).table.tobytes()
+            key = self._key(i)
             if key not in seen:
                 seen[key] = len(tables)
                 tables.append(self.member(i).table.ravel())
             group[i] = seen[key]
         self._unique_cache = (np.array(tables), group)
         return self._unique_cache
+
+    def _key(self, i):
+        """Hashable key that is equal for members with equal tables."""
+        return self.member(i).table.tobytes()
 
     def budget_at(self, epsilon: float) -> float:
         return self.D * epsilon ** (-self.L)
@@ -229,20 +233,8 @@ class BoxRestrictionFamily(FunctionFamily):
         table[sl] = self.f.table[sl]
         return KernelFunction(table)
 
-    def unique_tables(self):
-        if getattr(self, "_unique_cache", None) is not None:
-            return self._unique_cache
-        seen = {}
-        group = np.empty(len(self), dtype=np.int64)
-        tables = []
-        for i, box in enumerate(self.boxes):
-            key = self._clip(box)
-            if key not in seen:
-                seen[key] = len(tables)
-                tables.append(self.member(i).table.ravel())
-            group[i] = seen[key]
-        self._unique_cache = (np.array(tables), group)
-        return self._unique_cache
+    def _key(self, i):
+        return self._clip(self.boxes[i])
 
 
 @dataclass

@@ -201,9 +201,9 @@ def test_k4_accepted(tmp_path):
     assert len(payload["coefficients"]) == 5
 
 
-# curve.csv of these two configs as written when the CLI still recovered hit
-# counts as round(p * reps); the counts carried in the results must give the
-# same bytes
+# curve.csv of these configs as written before every Monte Carlo experiment
+# shared one replication loop (the first two when the CLI still recovered hit
+# counts as round(p * reps)); the shared loop must give the same bytes
 PINNED_CURVES = [
     ({"experiment": "counterexample", "seed": 5, "sigma": 0.3, "n": 500,
       "epsilon": 0.5, "reps": 40},
@@ -213,6 +213,24 @@ PINNED_CURVES = [
       "reps": 200, "x": 0.4, "space": {"points": 16, "weights": "uniform"},
       "family": {"kind": "interval", "sigma": 0.5, "grid": 16}},
      "0.4,0.995,0.972226295602,0.999116831284,1,1,0\n"),
+    ({"experiment": "decoupling", "seed": 4, "n": 24, "k": 2, "reps": 200,
+      "space": {"points": 4, "weights": "uniform"},
+      "family": {"kind": "box", "table": [[1.0, -0.5, 0.0, 0.5],
+                                          [-0.5, 0.25, 0.5, 0.0],
+                                          [0.0, 0.5, -1.0, 0.25],
+                                          [0.5, 0.0, 0.25, -0.5]]},
+      "x_grid": {"start": 15.0, "stop": 65.0, "points": 11}},
+     "15,1,0.981154673623,1,1,1,0\n"
+     "20,0.925,0.879956389764,0.954025082816,1,0.548098384103,0\n"
+     "25,0.665,0.59702191208,0.726759130216,1,0.286039434759,0\n"
+     "30,0.385,0.320333097269,0.454001327798,1,0.149277138212,0\n"
+     "35,0.245,0.19056868089,0.309042435562,1,0.0779041673451,0\n"
+     "40,0.115,0.0778637323256,0.166647168985,1,0.0406563212721,0\n"
+     "45,0.1,0.0656704486691,0.149405812433,1,0.0212175614696,0\n"
+     "50,0.045,0.0238525430015,0.0832967040018,0.708668016197,0.0110729377531,0\n"
+     "55,0.035,0.0170555420086,0.0704706115223,0.369836884517,0.00577870132058,0\n"
+     "60,0.02,0.00780442641635,0.0502870869058,0.193009022593,0.00301576597801,0\n"
+     "65,0.01,0.00274665813354,0.0357217617162,0.100726791626,0.00157385611915,0\n"),
 ]
 
 
@@ -295,6 +313,30 @@ def test_decreasing_grid_rejected(tmp_path, capsys):
     cfg = _base_cfg(x_grid=[1.0, 0.5])
     assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
     assert "x_grid" in capsys.readouterr().err
+
+
+_X_GRID_CONFIGS = {
+    "sup_tail": _base_cfg(),
+    "decoupling": _base_cfg(experiment="decoupling", k=2, n=8,
+                            space={"points": 3, "weights": "uniform"},
+                            family={"kind": "singleton",
+                                    "table": np.eye(3).tolist()}),
+    "chaos_audit": {"experiment": "chaos_audit", "seed": 0, "n": 4, "k": 1,
+                    "coefficients": {"index_tuples": [[0], [1]],
+                                     "values": [1.0, 1.0]}},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_X_GRID_CONFIGS))
+@pytest.mark.parametrize("x_grid", [
+    [0.0, float("nan"), 1.0], [0.0, float("inf")], [-1.0, 0.5],
+    {"start": -1.0, "stop": 1.0, "points": 3}],
+    ids=["nan", "inf", "negative", "negative-start"])
+def test_non_finite_or_negative_x_rejected(tmp_path, capsys, experiment, x_grid):
+    cfg = dict(_X_GRID_CONFIGS[experiment], x_grid=x_grid)
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: x_grid: ")
+    assert not (tmp_path / "out").exists()
 
 
 # --- overlay_bounds --------------------------------------------------------

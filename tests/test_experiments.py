@@ -97,6 +97,31 @@ def test_mc_sup_tail_worker_independence():
     assert np.array_equal(a.ci_lo, b.ci_lo)
 
 
+def _numbers(res):
+    """Every field of an experiment result, curves unpacked into arrays."""
+    out = []
+    for f in dataclasses.fields(res):
+        v = getattr(res, f.name)
+        out += [v.x_grid, v.probs, v.ci_lo, v.ci_hi, v.replications] \
+            if isinstance(v, TailCurve) else [v]
+    return out
+
+
+@pytest.mark.parametrize("experiment", [
+    lambda workers: symmetrization_experiment(
+        interval_family(0.5, 8), uniform_space(8), 32, 0.3, 30, seed=2,
+        workers=workers),
+    lambda workers: decoupling_experiment(
+        _canonical_singleton(4, 2, 9, uniform_space(4)), uniform_space(4), 24,
+        2, [0.0, 0.5, 1.0, 2.0], 30, seed=3, workers=workers),
+    lambda workers: counterexample_experiment(0.5, 64, 0.3, 30, seed=4,
+                                              workers=workers),
+], ids=["symmetrization", "decoupling", "counterexample"])
+def test_experiment_worker_independence(experiment):
+    for a, b in zip(_numbers(experiment(1)), _numbers(experiment(3)), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_mc_sup_tail_validations():
     sp = uniform_space(3)
     fam = _canonical_singleton(3, 1, 1, sp)
