@@ -189,6 +189,13 @@ def _curve_payload(curve: TailCurve):
             "replications": curve.replications}
 
 
+def _family_payload(family):
+    """Member count against distinct tables; read after the experiment has
+    run, so the family's table cache is never shipped to workers."""
+    return {"members": len(family),
+            "unique_tables": int(family.unique_tables()[0].shape[0])}
+
+
 def execute(cfg: dict, workers: int = 1):
     """Run the configured experiment; returns (payload dict, curve rows)."""
     exp = cfg["experiment"]
@@ -295,7 +302,7 @@ def execute(cfg: dict, workers: int = 1):
                                         workers=workers)
         payload = {"x": res.x, "lhs": res.lhs, "lhs_interval": list(res.lhs_interval),
                    "rhs": res.rhs, "rhs_interval": list(res.rhs_interval),
-                   "replications": reps}
+                   "replications": reps, "family": _family_payload(family)}
         rows = overlay_bounds(res.curve, k, family.sigma, family.D, family.L,
                               family.beta, n, consts)
         return payload, rows
@@ -311,7 +318,8 @@ def execute(cfg: dict, workers: int = 1):
                             workers=workers)
         rows = overlay_bounds(curve, k, family.sigma, family.D, family.L,
                               family.beta, n, consts)
-        payload = {"curve": _curve_payload(curve), "statistic": kind}
+        payload = {"curve": _curve_payload(curve), "statistic": kind,
+                   "family": _family_payload(family)}
         try:
             slope, stderr = exponent_fit(curve)
             payload["exponent_fit"] = {"slope": slope, "stderr": stderr}
@@ -330,7 +338,8 @@ def execute(cfg: dict, workers: int = 1):
                               family.beta, n, consts)
         payload = {"coupled": _curve_payload(res.coupled),
                    "decoupled": _curve_payload(res.decoupled),
-                   "ratio": [None if np.isnan(r) else float(r) for r in res.ratio]}
+                   "ratio": [None if np.isnan(r) else float(r) for r in res.ratio],
+                   "family": _family_payload(family)}
         return payload, rows
 
     raise ConfigError("experiment", f"unknown experiment {exp!r}")
@@ -360,7 +369,7 @@ def run(config_path: str, out_dir: str, workers: int = 1,
         _write_curve(os.path.join(out_dir, "curve.csv"), rows)
     if fmt in ("report", "both"):
         report = {"config": cfg, "payload": payload,
-                  "wall_clock_seconds": elapsed,
+                  "wall_clock_seconds": elapsed, "workers": workers,
                   "version": __version__, "seed": cfg["seed"]}
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -73,7 +73,9 @@ class TailCurve:
 # per-replication statistic weights: stat(f) = flat(f.table) @ weights
 
 def _member_matrix(family: FunctionFamily) -> np.ndarray:
-    return np.array([family.member(i).table.ravel() for i in range(len(family))])
+    """Distinct member tables, one per row: members with equal tables add
+    nothing to a supremum."""
+    return family.unique_tables()[0]
 
 
 def statistic_weights(kind: str, draw: SampleDraw, space: ProbabilitySpace,
@@ -101,6 +103,8 @@ def _sup_block(args):
     """(replications x kinds) suprema over the family of each statistic of
     one draw per replication; only "increment" is one-sided."""
     (family, space, n, k, kinds, seed, replicas) = args
+    # built per block from the family's cache rather than shipped from the
+    # caller: a wrapped _member_matrix may return an unpicklable subclass
     F = _member_matrix(family)
     out = np.empty((len(replicas), len(kinds)))
     for i, r in enumerate(replicas):
@@ -118,7 +122,7 @@ def _run_blocks(args_template, reps: int, workers: int) -> np.ndarray:
     if workers <= 1:
         parts = [_sup_block(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             parts = list(pool.map(_sup_block, tasks))
     return np.concatenate(parts)
 

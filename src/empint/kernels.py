@@ -87,6 +87,11 @@ def product_weights(nu, k: int, m: int) -> np.ndarray:
     return out.ravel()
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class FunctionFamily:
     """Indexed family of same-arity kernels with an L2-density budget."""
 
@@ -113,8 +118,8 @@ class FunctionFamily:
         """(unique flat tables, member -> unique-id map) in first-seen order.
 
         Members with identical tables are indistinguishable in any L2(nu)
-        metric, so nets are built over the unique representatives.  Cached:
-        families are immutable after construction.
+        metric, so nets and suprema run over the unique representatives.
+        Cached and read-only: families are immutable after construction.
         """
         if getattr(self, "_unique_cache", None) is not None:
             return self._unique_cache
@@ -122,17 +127,14 @@ class FunctionFamily:
         group = np.empty(len(self), dtype=np.int64)
         tables = []
         for i in range(len(self)):
-            key = self._key(i)
+            table = self.member(i).table
+            key = table.tobytes()
             if key not in seen:
                 seen[key] = len(tables)
-                tables.append(self.member(i).table.ravel())
+                tables.append(table.ravel())
             group[i] = seen[key]
-        self._unique_cache = (np.array(tables), group)
+        self._unique_cache = (_read_only(np.array(tables)), _read_only(group))
         return self._unique_cache
-
-    def _key(self, i):
-        """Hashable key that is equal for members with equal tables."""
-        return self.member(i).table.tobytes()
 
     def budget_at(self, epsilon: float) -> float:
         return self.D * epsilon ** (-self.L)
@@ -217,24 +219,57 @@ class BoxRestrictionFamily(FunctionFamily):
     def __len__(self):
         return len(self.boxes)
 
-    def _clip(self, box):
-        out = []
-        for (u, v), (lo, hi) in zip(box, self._support):
-            cu, cv = max(u, lo), min(v, hi)
-            if cu >= cv:
-                return None  # restriction is the zero kernel
-            out.append((cu, cv))
-        return tuple(out)
+    def unique_tables(self):
+        """The base class's (tables, group map), built in one vectorised step.
+
+        Restricting f to a box gives the same table as restricting it to the
+        box clipped to f's per-axis support hull, so boxes are grouped by
+        their clipped box, and every box with an empty clip by the zero
+        table.  Each group's table is f on its first-seen box.
+        """
+        if getattr(self, "_unique_cache", None) is not None:
+            return self._unique_cache
+        k, m = self.k, self.m
+        iv = np.array(self.axis_intervals)
+        # code of a box: the per-axis (u, v) of its clipped box as digits in
+        # base m + 1, or -1 when a clip is empty
+        code = np.zeros((1,) * k, dtype=np.int64)
+        empty = np.zeros((1,) * k, dtype=bool)
+        for axis, (lo, hi) in enumerate(self._support):
+            cu, cv = np.maximum(iv[:, 0], lo), np.minimum(iv[:, 1], hi)
+            shape = (len(iv),) + (1,) * (k - 1 - axis)
+            code = code * (m + 1) ** 2 + (cu * (m + 1) + cv).reshape(shape)
+            empty = empty | (cu >= cv).reshape(shape)
+        code = np.where(empty, -1, code).ravel()
+
+        # ascending codes are already in first-seen order: box 0 is empty,
+        # and per axis the first interval clipping to [a, b) is [a, b), or
+        # [0, b) when a is the support's start, which keeps the order
+        _, reps, group = np.unique(code, return_index=True, return_inverse=True)
+        inside = (iv[:, :1] <= np.arange(m)) & (np.arange(m) < iv[:, 1:])
+        mask = np.ones((reps.size,) + (1,) * k, dtype=bool)
+        for axis, j in enumerate(np.unravel_index(reps, (len(iv),) * k)):
+            shape = [reps.size] + [1] * k
+            shape[axis + 1] = m
+            mask = mask & inside[j].reshape(shape)
+        tables = np.where(mask, self.f.table, 0.0).reshape(reps.size, -1)
+        self._unique_cache = (_read_only(tables), _read_only(group))
+        return self._unique_cache
+
+    def _shared_members(self) -> list:
+        """One immutable kernel per distinct table, viewing its row."""
+        if getattr(self, "_shared", None) is None:
+            self._shared = [KernelFunction(t.reshape(self.f.table.shape))
+                            for t in self.unique_tables()[0]]
+        return self._shared
 
     def member(self, i) -> KernelFunction:
-        table = np.zeros_like(self.f.table)
-        box = self.boxes[i]
-        sl = tuple(slice(u, v) for u, v in box)
-        table[sl] = self.f.table[sl]
-        return KernelFunction(table)
+        return self._shared_members()[self.unique_tables()[1][i]]
 
-    def _key(self, i):
-        return self._clip(self.boxes[i])
+    @property
+    def members(self):
+        shared = self._shared_members()
+        return [shared[g] for g in self.unique_tables()[1].tolist()]
 
 
 @dataclass

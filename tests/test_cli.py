@@ -241,6 +241,28 @@ def test_hit_count_rows_match_pinned_curve(tmp_path, cfg, rows):
     assert (out / "curve.csv").read_text() == CURVE_HEADER + "\n" + rows
 
 
+@pytest.mark.parametrize("cfg, workers, members, unique", [
+    # k=1 box family on 4 cells, f supported on [1, 3): 15 boxes clip to
+    # [1, 2), [1, 3), [2, 3) or nothing
+    (_base_cfg(k=1, space={"points": 4, "weights": "uniform"},
+               family={"kind": "box", "table": [0.0, 0.5, -1.0, 0.0]}),
+     2, 15, 4),
+    # full-support 4x4 kernel: 10 x 10 non-empty boxes plus the zero table
+    (PINNED_CURVES[2][0], 1, 225, 101),
+    # 16 + 15 + 14 + 13 distinct intervals of 1 to 4 cells
+    (PINNED_CURVES[1][0], 2, 58, 58),
+])
+def test_report_records_workers_and_family_size(tmp_path, cfg, workers,
+                                                members, unique):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["workers"] == workers
+    assert report["payload"]["family"] == {"members": members,
+                                           "unique_tables": unique}
+
+
 def test_counterexample_via_cli(tmp_path):
     cfg = {"experiment": "counterexample", "seed": 5, "sigma": 0.3, "n": 500,
            "epsilon": 0.5, "reps": 40}

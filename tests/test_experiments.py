@@ -6,7 +6,7 @@ import pytest
 
 from empint.chaos import exact_chaos_tail
 from empint.decomposition import canonicalize
-from empint import spaces, statistics
+from empint import experiments, spaces, statistics
 from empint.kernels import BoxRestrictionFamily, KernelFunction, \
     interval_family, l2_norm, singleton_family
 from empint.spaces import Sample, draw_sample, finite_space, stream_rng, \
@@ -95,6 +95,68 @@ def test_mc_sup_tail_worker_independence():
     b = mc_sup_tail(fam, sp, 32, 2, "J", grid, 120, seed=5, workers=8)
     assert np.array_equal(a.probs, b.probs)
     assert np.array_equal(a.ci_lo, b.ci_lo)
+
+
+@pytest.mark.parametrize("k, kinds", [(1, ("J", "I", "decoupled-I", "increment")),
+                                      (2, ("J", "I", "decoupled-I"))])
+def test_supremum_over_unique_tables_equals_full_member_matrix(k, kinds):
+    """Dropping duplicate rows leaves every maximum bit for bit the same."""
+    sp = finite_space([0.05, 0.2, 0.1, 0.25, 0.1, 0.3])
+    base = np.zeros((6,) * k)
+    base[(slice(1, 4),) * k] = stream_rng(12, 0).uniform(-1, 1, size=(3,) * k)
+    fam = BoxRestrictionFamily(KernelFunction(base), 6)
+    unique = _member_matrix(fam)
+    full = np.array([f.table.ravel() for f in fam.members])
+    assert unique.shape[0] * 3 < full.shape[0]
+    for r in range(25):
+        draw = draw_bundle(sp, 30, k, 41, replica=r)
+        for kind in kinds:
+            w = statistic_weights(kind, draw, sp, k)
+            if kind == "increment":
+                assert np.max(unique @ w) == np.max(full @ w)
+            else:
+                assert np.max(np.abs(unique @ w)) == np.max(np.abs(full @ w))
+
+
+def test_mc_sup_tail_box_family_worker_independence():
+    sp = uniform_space(5)
+    base = KernelFunction(stream_rng(6, 0).uniform(-1, 1, size=(5, 5)))
+    fam = BoxRestrictionFamily(base, 5)
+    grid = np.linspace(0, 100, 11)
+    a = mc_sup_tail(fam, sp, 24, 2, "decoupled-I", grid, 90, seed=2, workers=1)
+    b = mc_sup_tail(fam, sp, 24, 2, "decoupled-I", grid, 90, seed=2, workers=3)
+    assert 0 < a.probs[5] < 1
+    for name in ("probs", "ci_lo", "ci_hi"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_process_pool_is_sized_to_the_blocks(monkeypatch):
+    """More workers than replications opens one process per block, not one
+    per requested worker (a fake pool records the size and runs inline)."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    sp = uniform_space(4)
+    fam = interval_family(0.5, 4)
+    grid = [0.0, 0.5, 1.0]
+    a = mc_sup_tail(fam, sp, 20, 1, "J", grid, 2, seed=3, workers=64)
+    b = mc_sup_tail(fam, sp, 20, 1, "J", grid, 2, seed=3, workers=1)
+    mc_sup_tail(fam, sp, 20, 1, "J", grid, 7, seed=3, workers=3)
+    assert sizes == [2, 3]
+    assert np.array_equal(a.probs, b.probs)
 
 
 def _numbers(res):

@@ -126,6 +126,86 @@ def test_box_family_nested_monotonicity():
     assert np.all(inner <= outer + 1e-15)
 
 
+def _slice_member(f, box):
+    """Reference restriction: f copied onto zeros over one box's slices."""
+    table = np.zeros_like(f.table)
+    sl = tuple(slice(u, v) for u, v in box)
+    table[sl] = f.table[sl]
+    return table
+
+
+def _clip_group(fam, support):
+    """Reference group map: boxes keyed by their box clipped to f's per-axis
+    support hull (None when the clip is empty), numbered in first-seen order."""
+    seen, group = {}, []
+    for box in fam.boxes:
+        key = []
+        for (u, v), (lo, hi) in zip(box, support):
+            if max(u, lo) >= min(v, hi):
+                key = None
+                break
+            key.append((max(u, lo), min(v, hi)))
+        group.append(seen.setdefault(None if key is None else tuple(key),
+                                     len(seen)))
+    return group
+
+
+def _support_hull(table):
+    k = table.ndim
+    hull = []
+    for axis in range(k):
+        nz = np.nonzero(np.any(table != 0, axis=tuple(a for a in range(k)
+                                                      if a != axis)))[0]
+        hull.append((int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0))
+    return hull
+
+
+def _box_tables():
+    """(k, m, table): f = 0, support touching both edges, negative entries
+    and a support hull with interior zeros, at k = 1, 2, 3 and m <= 8."""
+    rng = stream_rng(21, 0)
+    for k, ms in ((1, (1, 2, 5, 8)), (2, (1, 3, 8)), (3, (2, 4))):
+        for m in ms:
+            yield k, m, np.zeros((m,) * k)
+            yield k, m, rng.uniform(-1, 1, size=(m,) * k)
+            sparse = rng.uniform(-1, 0, size=(m,) * k)
+            yield k, m, np.where(rng.random((m,) * k) < 0.3, sparse, 0.0)
+            if m >= 4:
+                inner = np.zeros((m,) * k)
+                inner[(slice(1, m - 1),) * k] = rng.uniform(
+                    -1, 1, size=(m - 2,) * k)
+                inner[(1,) * k] = 0.0
+                yield k, m, inner
+
+
+@pytest.mark.parametrize("k, m, table", list(_box_tables()))
+def test_box_family_tables_equal_per_box_slices(k, m, table):
+    f = KernelFunction(table)
+    fam = BoxRestrictionFamily(f, m)
+    tables, group = fam.unique_tables()
+    expected = [_slice_member(f, box) for box in fam.boxes]
+    assert group.tolist() == _clip_group(fam, _support_hull(table))
+    members = fam.members
+    assert len(members) == len(fam) == len(expected)
+    for i, want in enumerate(expected):
+        assert fam.member(i).table.tobytes() == want.tobytes()
+        assert members[i] is fam.member(i)
+        assert tables[group[i]].tobytes() == want.tobytes()
+    if not table.any():
+        assert tables.shape[0] == 1
+
+
+def test_box_family_members_share_one_immutable_kernel():
+    fam = BoxRestrictionFamily(_base_kernel(m=8, k=2, width=3), 8)
+    tables, group = fam.unique_tables()
+    twins = np.nonzero(group == group[-1])[0]
+    assert twins.size > 1
+    assert fam.member(int(twins[0])) is fam.member(int(twins[-1]))
+    for a in (fam.member(0).table, tables, group):
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.5
+
+
 def test_box_family_rejects_unbounded_kernel():
     with pytest.raises(ValueError):
         BoxRestrictionFamily(KernelFunction(np.full((4, 4), 1.5)), 4)
