@@ -7,8 +7,9 @@ and nothing downstream treats them as ground truth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import exp, factorial, floor, log
+from dataclasses import dataclass
+from math import exp, factorial, floor, isfinite, log
+from numbers import Real
 
 import numpy as np
 
@@ -19,6 +20,10 @@ class NotApplicable(Exception):
 
 def default_alpha(k: int) -> float:
     return k / (4 * np.e * factorial(k) ** (1.0 / k))
+
+
+# every constant must be a finite number above its floor
+CONSTANT_FLOORS = {"C": 0, "alpha": 0, "M": 0, "gamma": 0, "K": 0, "A0": 1}
 
 
 @dataclass(frozen=True)
@@ -38,15 +43,19 @@ class BoundConstants:
             object.__setattr__(self, "C", exp(self.k))
         if self.alpha is None:
             object.__setattr__(self, "alpha", default_alpha(self.k))
-        for name in ("C", "alpha", "M", "gamma", "K"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.A0 <= 1:
-            raise ValueError("A0 must be > 1")
+        for name, low in CONSTANT_FLOORS.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real) or not isfinite(v):
+                raise ValueError(f"{name} must be a finite number")
+            if v <= low:
+                raise ValueError(f"{name} must be > {low}")
 
     @classmethod
     def from_dict(cls, k: int, overrides: dict | None = None) -> "BoundConstants":
-        return cls(k=k, **(overrides or {}))
+        overrides = {} if overrides is None else overrides
+        if not isinstance(overrides, dict) or not set(overrides) <= set(CONSTANT_FLOORS):
+            raise ValueError(f"expected an object with keys among {list(CONSTANT_FLOORS)}")
+        return cls(k=k, **overrides)
 
 
 def theorem_bound(x: float, n: int, k: int, sigma: float, D: float, L: float,

@@ -14,6 +14,8 @@ from math import exp, factorial
 
 import numpy as np
 
+from .kernels import offdiag_mask
+
 ENUMERATION_LIMIT = 24
 
 
@@ -42,10 +44,8 @@ class ChaosCoefficients:
             raise ValueError("coefficient values must be finite")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError("index out of range")
-        for a in range(self.k):
-            for b in range(a + 1, self.k):
-                if np.any(idx[:, a] == idx[:, b]):
-                    raise ValueError("coefficient tuple with repeated index")
+        if np.any(np.diff(np.sort(idx, axis=1), axis=1) == 0):
+            raise ValueError("coefficient tuple with repeated index")
         object.__setattr__(self, "index_tuples", idx)
         object.__setattr__(self, "values", vals)
         idx.setflags(write=False)
@@ -53,19 +53,12 @@ class ChaosCoefficients:
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "ChaosCoefficients":
-        """Build from a dense (n,)*k array; diagonal entries must be zero
-        and are dropped."""
+        """Build from a dense (n,)*k array, keeping its nonzero entries on
+        pairwise-distinct tuples; diagonal entries are dropped."""
         a = np.asarray(a, dtype=float)
-        k = a.ndim
-        n = a.shape[0]
-        idx = np.indices(a.shape).reshape(k, -1).T
-        distinct = np.ones(idx.shape[0], dtype=bool)
-        for i in range(k):
-            for j in range(i + 1, k):
-                distinct &= idx[:, i] != idx[:, j]
-        flat = a.ravel()
-        keep = distinct & (flat != 0.0)
-        return cls(n=n, k=k, index_tuples=idx[keep], values=flat[keep])
+        keep = offdiag_mask(a.shape[0], a.ndim) & (a != 0)
+        return cls(n=a.shape[0], k=a.ndim, index_tuples=np.argwhere(keep),
+                   values=a[keep])
 
 
 def chaos_value(coeffs: ChaosCoefficients, signs) -> float:

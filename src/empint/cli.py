@@ -99,7 +99,9 @@ def _build_family(spec, field: str, space: ProbabilitySpace, k: int):
         f = KernelFunction(np.asarray(table, dtype=float))
         if f.table.shape != (space.m,) * f.k:
             raise ConfigError(f"{field}.table", "shape does not match the space")
-        return singleton_family(f, sigma=float(spec.get("sigma", 1.0)))
+        sigma = _require(spec, "sigma", (int, float), lambda v: 0 < v <= 1,
+                         "must lie in (0, 1]") if "sigma" in spec else 1.0
+        return singleton_family(f, sigma=float(sigma))
     if kind == "random-canonical":
         count = _require(spec, "count", int, lambda v: v >= 1, "must be >= 1")
         kseed = _require(spec, "kernel_seed", int)
@@ -117,6 +119,13 @@ def _build_family(spec, field: str, space: ProbabilitySpace, k: int):
             sigma = max(l2_norm(f, space) for f in kernels)
         return ExplicitFamily(kernels, D=float(count), L=1.0, sigma=sigma)
     raise ConfigError(f"{field}.kind", f"unknown family kind {kind!r}")
+
+
+def _build_constants(cfg: dict, k: int) -> BoundConstants:
+    try:
+        return BoundConstants.from_dict(k, cfg.get("constants"))
+    except (ValueError, OverflowError) as e:
+        raise ConfigError("constants", str(e))
 
 
 def _build_x_grid(spec, field: str) -> np.ndarray:
@@ -200,7 +209,6 @@ def execute(cfg: dict, workers: int = 1):
     """Run the configured experiment; returns (payload dict, curve rows)."""
     exp = cfg["experiment"]
     seed = _require(cfg, "seed", int, lambda v: v >= 0, "must be >= 0")
-    consts = None
 
     if exp in ("sup_tail", "symmetrization", "decoupling", "counterexample"):
         reps = _require(cfg, "reps", int, lambda v: v >= 1, "must be >= 1")
@@ -214,12 +222,12 @@ def execute(cfg: dict, workers: int = 1):
         grid = cfg.get("grid")
         if grid is not None and (not isinstance(grid, int) or grid < 2):
             raise ConfigError("grid", "must be an integer >= 2")
+        consts = _build_constants(cfg, 1)
         try:
             res = counterexample_experiment(float(sigma), n, float(eps), reps,
                                             seed, grid=grid, workers=workers)
         except ValueError as e:
             raise ConfigError("sigma", str(e))
-        consts = BoundConstants.from_dict(1, cfg.get("constants"))
         # D = 4, L = 2: the budget of interval_family
         rows = overlay_bounds(res.curve, 1, res.sigma, 4.0, 2.0, 0.0, n, consts)
         payload = {"x_star": res.x_star, "x_low": res.x_low, "p_low": res.p_low,
@@ -292,7 +300,7 @@ def execute(cfg: dict, workers: int = 1):
     family = _build_family(cfg.get("family"), "family", space, k)
     if family.k != k:
         raise ConfigError("family", f"member arity {family.k} does not match k={k}")
-    consts = BoundConstants.from_dict(k, cfg.get("constants"))
+    consts = _build_constants(cfg, k)
 
     if exp == "symmetrization":
         x = _require(cfg, "x", (int, float), lambda v: v >= 0, "must be >= 0")

@@ -7,7 +7,6 @@ against Monte Carlo estimates must include both sides' slack.
 """
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial, log, sqrt
@@ -296,15 +295,6 @@ def exponent_fit(curve: TailCurve):
 
 def conditional_chaos_coefficients(f, draw: SampleDraw) -> ChaosCoefficients:
     """Chaos coefficients a(j_1..j_k) = f(xi_{j_1,1},..,xi_{j_k,k}) / k!
-    over ordered distinct index tuples of a fixed draw."""
-    k = f.k
-    n = draw.n
-    idx = []
-    vals = []
-    for tup in itertools.permutations(range(n), k):
-        point = tuple(draw.decoupled[s].values[tup[s]] for s in range(k))
-        idx.append(tup)
-        vals.append(f.table[point] / factorial(k))
-    return ChaosCoefficients(n=n, k=k,
-                             index_tuples=np.array(idx, dtype=np.int64).reshape(-1, k),
-                             values=np.array(vals))
+    over ordered distinct index tuples of a fixed draw; zeros are dropped."""
+    cols = [draw.decoupled[s].values for s in range(f.k)]
+    return ChaosCoefficients.from_dense(f.table[np.ix_(*cols)] / factorial(f.k))

@@ -8,6 +8,7 @@ most D * eps**-L.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -54,6 +55,16 @@ def _check_shape(f: KernelFunction, space: ProbabilitySpace):
         raise ValueError(
             f"kernel table shape {f.table.shape} does not match space with {space.m} points"
         )
+
+
+@functools.cache
+def offdiag_mask(m: int, k: int) -> np.ndarray:
+    """Read-only (m,)*k boolean table, True on pairwise-distinct tuples:
+    those whose sorted coordinates strictly increase."""
+    mask = np.all(np.diff(np.sort(np.indices((m,) * k), axis=0), axis=0) != 0,
+                  axis=0)
+    mask.setflags(write=False)
+    return mask
 
 
 def l2_norm(f: KernelFunction, space: ProbabilitySpace) -> float:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import factorial, prod
+from math import factorial, perm, prod
 
 import numpy as np
 
 from .decomposition import all_subsets, hoeffding_decompose
-from .kernels import KernelFunction, _check_shape
+from .kernels import KernelFunction, _check_shape, offdiag_mask
 from .spaces import ProbabilitySpace, Sample, draw_sample, signed_increment, \
     stream_rng
 
@@ -32,6 +32,7 @@ class ResidualTooLarge(Exception):
 
 
 STREAMS_PER_DRAW = 64  # stream-id stride between Monte Carlo replicas
+HOLDOUT_STREAMS = 2 ** 32  # first stream id of the expansion holdout
 
 
 class _Drawn:
@@ -119,20 +120,6 @@ def draw_bundle(space: ProbabilitySpace, n: int, k: int, seed: int,
 # ---------------------------------------------------------------------------
 # weight tensors: each statistic of an arity-k kernel f is flat(f) . flat(w)
 
-_MASK_CACHE = {}
-
-
-def _offdiag_mask(m: int, k: int) -> np.ndarray:
-    key = (m, k)
-    if key not in _MASK_CACHE:
-        idx = np.indices((m,) * k)
-        mask = np.ones((m,) * k, dtype=bool)
-        for a, b in itertools.combinations(range(k), 2):
-            mask &= idx[a] != idx[b]
-        _MASK_CACHE[key] = mask
-    return _MASK_CACHE[key]
-
-
 def increment_weights(sample: Sample, space: ProbabilitySpace, k: int) -> np.ndarray:
     """(n^{k/2}/k!) * prod_s nu(x_s), nu = mu_n - mu, on pairwise-distinct
     point tuples and 0 on the point diagonals."""
@@ -141,7 +128,7 @@ def increment_weights(sample: Sample, space: ProbabilitySpace, k: int) -> np.nda
     for _ in range(k - 1):
         w = np.multiply.outer(w, nu)
     if k > 1:
-        w = np.where(_offdiag_mask(space.m, k), w, 0.0)
+        w = np.where(offdiag_mask(space.m, k), w, 0.0)
     return w * (sample.n ** (k / 2) / factorial(k))
 
 
@@ -274,7 +261,7 @@ def _expansion_row(f: KernelFunction, sample: Sample,
     what makes the identity exact."""
     k = f.k
     if k > 1:
-        f = KernelFunction(f.table * _offdiag_mask(space.m, k))
+        f = KernelFunction(f.table * offdiag_mask(space.m, k))
     decomp = hoeffding_decompose(f, space)
     row = np.zeros(k + 1)
     row[0] = decomp.constant
@@ -329,12 +316,12 @@ def j_from_expansion(f: KernelFunction, sample: Sample, space: ProbabilitySpace,
 def validate_expansion(coeffs: ExpansionCoefficients, space: ProbabilitySpace,
                        pairs: int, seed: int) -> float:
     """Max relative disagreement between J and its expansion on fresh
-    random (kernel, sample) pairs."""
-    rng = stream_rng(seed, 0)
+    random (kernel, sample) pairs, drawn from streams the fit never opens."""
+    rng = stream_rng(seed, HOLDOUT_STREAMS)
     worst = 0.0
     for t in range(pairs):
         f = _random_kernel(space, coeffs.k, rng)
-        sample = draw_sample(space, coeffs.n, seed, stream_id=1001 + t)
+        sample = draw_sample(space, coeffs.n, seed, HOLDOUT_STREAMS + 1 + t)
         direct = multiple_integral_j(f, sample, space)
         via = j_from_expansion(f, sample, space, coeffs)
         worst = max(worst, abs(direct - via) / max(abs(direct), 1e-12))
@@ -376,4 +363,4 @@ def exact_decoupled_second_moment(f: KernelFunction, space: ProbabilitySpace,
 
 
 def ordered_distinct_tuple_count(n: int, k: int) -> int:
-    return factorial(n) // factorial(n - k) if n >= k else 0
+    return perm(n, k)

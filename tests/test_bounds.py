@@ -194,3 +194,17 @@ def test_induction_fixture_length():
 def test_induction_rejects_bad_a0():
     with pytest.raises(ValueError):
         induction_levels(100, 2, A0=1.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"C": float("nan")}, {"alpha": float("inf")}, {"M": -float("inf")},
+    {"A0": float("nan")}, {"gamma": "abc"}, {"K": True}])
+def test_constants_must_be_finite_numbers(overrides):
+    with pytest.raises(ValueError):
+        BoundConstants.from_dict(1, overrides)
+
+
+@pytest.mark.parametrize("overrides", ["abc", [1.0], {"foo": 1.0}, {"k": 2}])
+def test_constants_from_dict_rejects_non_objects_and_unknown_names(overrides):
+    with pytest.raises(ValueError):
+        BoundConstants.from_dict(1, overrides)

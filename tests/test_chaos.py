@@ -293,3 +293,29 @@ def test_from_dense_drops_diagonal_and_zeros():
     assert c.index_tuples.shape[1] == 2
     assert not any(i == j for i, j in c.index_tuples)
     assert 0.0 not in c.values
+
+
+def _from_dense_by_pair_loop(a):
+    """Reference for from_dense: a pair loop filters the C-order index
+    list down to pairwise-distinct tuples with nonzero entries."""
+    k, n = a.ndim, a.shape[0]
+    idx = np.indices(a.shape).reshape(k, -1).T
+    distinct = np.ones(idx.shape[0], dtype=bool)
+    for i in range(k):
+        for j in range(i + 1, k):
+            distinct &= idx[:, i] != idx[:, j]
+    flat = a.ravel()
+    keep = distinct & (flat != 0.0)
+    return ChaosCoefficients(n=n, k=k, index_tuples=idx[keep], values=flat[keep])
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 1), (5, 2), (6, 3), (5, 4)])
+def test_from_dense_equals_pair_loop(n, k):
+    rng = stream_rng(n, k)
+    a = rng.standard_normal((n,) * k)
+    a[rng.random(a.shape) < 0.3] = 0.0  # zeros off the diagonal are dropped
+    got = ChaosCoefficients.from_dense(a)
+    ref = _from_dense_by_pair_loop(a)
+    assert np.array_equal(got.index_tuples, ref.index_tuples)
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(chaos_values_all_signs(got), chaos_values_all_signs(ref))

@@ -378,3 +378,45 @@ def test_overlay_bound_capped_at_one():
     for r in rows:
         assert 0 < r["theorem_bound"] <= 1
         assert 0 < r["corollary_bound"] <= 1
+
+
+# --- invalid constants and singleton sigma exit 2 before any work ----------
+
+_COUNTEREXAMPLE = {"experiment": "counterexample", "seed": 5, "sigma": 0.3,
+                   "n": 500, "epsilon": 0.5, "reps": 40}
+
+
+@pytest.mark.parametrize("constants", [
+    {"C": -1}, {"foo": 1}, "abc", {"C": float("nan"), "alpha": float("inf")},
+    {"alpha": 0}, {"A0": 1.0}, {"k": 2}, [1.0]],
+    ids=["negative", "unknown", "string", "non-finite", "zero-alpha",
+         "A0-one", "k", "list"])
+@pytest.mark.parametrize("base", [_COUNTEREXAMPLE, _base_cfg()],
+                         ids=["counterexample", "sup_tail"])
+def test_invalid_constants_exit_2(tmp_path, capsys, monkeypatch, constants,
+                                  base):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the experiment ran before constants were checked")
+
+    monkeypatch.setattr(cli, "counterexample_experiment", no_run)
+    monkeypatch.setattr(cli, "mc_sup_tail", no_run)
+    cfg = dict(base, constants=constants)
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: constants: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sigma", [2.0, 0, -0.5, float("nan"), "abc"])
+def test_singleton_sigma_out_of_range_exits_2(tmp_path, capsys, sigma):
+    cfg = _base_cfg(family={"kind": "singleton", "table": [0.1] * 8,
+                            "sigma": sigma})
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: sigma: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_singleton_sigma_default_and_in_range():
+    family = {"kind": "singleton", "table": [0.1] * 8}
+    assert _build_family(family, "family", uniform_space(8), 1).sigma == 1.0
+    family["sigma"] = 0.25
+    assert _build_family(family, "family", uniform_space(8), 1).sigma == 0.25

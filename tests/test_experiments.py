@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+from math import factorial
 
 import numpy as np
 import pytest
 
-from empint.chaos import exact_chaos_tail
+from empint.chaos import (ChaosCoefficients, chaos_values_all_signs,
+                          exact_chaos_tail)
 from empint.decomposition import canonicalize
 from empint import experiments, spaces, statistics
 from empint.kernels import BoxRestrictionFamily, KernelFunction, \
@@ -430,3 +432,34 @@ def test_conditional_tail_matches_exact_enumeration():
     for x in (0.0, 0.2, 0.5, 1.0):
         direct = float(np.count_nonzero(values > x)) / values.size
         assert exact_chaos_tail(coeffs, x) == pytest.approx(direct, abs=1e-12)
+
+
+def _conditional_chaos_by_permutations(f, draw):
+    """Reference for conditional_chaos_coefficients: one coefficient per
+    ordered distinct index tuple from itertools.permutations, zeros
+    included."""
+    k, n = f.k, draw.n
+    idx, vals = [], []
+    for tup in itertools.permutations(range(n), k):
+        point = tuple(draw.decoupled[s].values[tup[s]] for s in range(k))
+        idx.append(tup)
+        vals.append(f.table[point] / factorial(k))
+    return ChaosCoefficients(n=n, k=k,
+                             index_tuples=np.array(idx, dtype=np.int64).reshape(-1, k),
+                             values=np.array(vals))
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 6), (3, 6), (4, 5)])
+def test_conditional_chaos_equals_permutation_loop(k, n):
+    sp = uniform_space(3)
+    draw = draw_bundle(sp, n, k, seed=20 + k)
+    table = np.random.default_rng(k).standard_normal((3,) * k)
+    table[np.random.default_rng(k + 10).random(table.shape) < 0.3] = 0.0
+    f = KernelFunction(table)
+    got = conditional_chaos_coefficients(f, draw)
+    ref = _conditional_chaos_by_permutations(f, draw)
+    nonzero = ref.values != 0.0
+    assert 0 < nonzero.sum() < ref.values.size  # the zero-dropping is exercised
+    assert np.array_equal(got.index_tuples, ref.index_tuples[nonzero])
+    assert np.array_equal(got.values, ref.values[nonzero])
+    assert np.array_equal(chaos_values_all_signs(got), chaos_values_all_signs(ref))

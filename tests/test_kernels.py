@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from empint.kernels import (BoxRestrictionFamily, BudgetExceeded,
                             ExplicitFamily, KernelFunction, epsilon_net,
-                            interval_family, l2_norm, product_weights,
-                            singleton_family, sup_norm)
+                            interval_family, l2_norm, offdiag_mask,
+                            product_weights, singleton_family, sup_norm)
 from empint.spaces import finite_space, stream_rng, uniform_space
 
 
@@ -313,3 +315,22 @@ def test_family_growth_condition():
     fam.beta = 1.0
     assert fam.check_budget(n=10)
     assert not fam.check_budget(n=3)
+
+
+# --- the pairwise-distinct mask ---------------------------------------------
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_offdiag_mask_is_pairwise_distinct(m, k):
+    mask = offdiag_mask(m, k)
+    assert mask.shape == (m,) * k and mask.dtype == bool
+    for tup in itertools.product(range(m), repeat=k):
+        assert mask[tup] == (len(set(tup)) == k)
+
+
+def test_offdiag_mask_is_cached_and_read_only():
+    mask = offdiag_mask(4, 3)
+    assert offdiag_mask(4, 3) is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 1, 2] = False

@@ -5,6 +5,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 import pytest
 
+from empint import spaces, statistics
 from empint.decomposition import canonicalize
 from empint.kernels import KernelFunction
 from empint.spaces import (Sample, draw_sample, finite_space, stream_rng,
@@ -433,3 +434,24 @@ def test_mirrored_contrast_degenerate_sample():
     draw = draw_bundle(uniform_space(3), 1, 2, seed=21)
     with pytest.raises(DegenerateSample):
         mirrored_contrast(_random_kernel(3, 2, 21), draw)
+
+
+def test_expansion_holdout_streams_are_disjoint_from_the_fit(monkeypatch):
+    """The holdout must not reuse a stream of the fit: neither the kernel
+    stream nor a sample stream, at any trial count."""
+    opened = []
+
+    def recording_rng(seed, stream_id):
+        opened[-1].add(stream_id)
+        return stream_rng(seed, stream_id)
+
+    monkeypatch.setattr(statistics, "stream_rng", recording_rng)
+    monkeypatch.setattr(spaces, "stream_rng", recording_rng)
+    sp = uniform_space(4)
+    opened.append(set())
+    c = derive_expansion_coefficients(3, 2, sp, trials=1002, seed=2)
+    opened.append(set())
+    validate_expansion(c, sp, pairs=3, seed=2)
+    fit, holdout = opened
+    assert len(fit) == 1003 and len(holdout) == 4
+    assert fit.isdisjoint(holdout)
