@@ -51,6 +51,8 @@ def _require(cfg: dict, field: str, types, cond=None, problem="invalid value"):
     v = cfg[field]
     if not isinstance(v, types) or isinstance(v, bool):
         raise ConfigError(field, f"expected {types}")
+    if isinstance(v, float) and not np.isfinite(v):
+        raise ConfigError(field, "must be finite")
     if cond is not None and not cond(v):
         raise ConfigError(field, problem)
     return v
@@ -87,16 +89,20 @@ def _build_family(spec, field: str, space: ProbabilitySpace, k: int):
             return interval_family(float(sigma), grid)
         except ValueError as e:
             raise ConfigError(f"{field}.grid", str(e))
+    if kind in ("box", "singleton"):
+        try:
+            table = np.asarray(_require(spec, "table", list), dtype=float)
+        except (ValueError, TypeError):
+            raise ConfigError(f"{field}.table", "need a rectangular array of numbers")
+        if not np.all(np.isfinite(table)):
+            raise ConfigError(f"{field}.table", "entries must be finite")
+        f = KernelFunction(table)
     if kind == "box":
-        table = _require(spec, "table", list)
-        f = KernelFunction(np.asarray(table, dtype=float))
         try:
             return BoxRestrictionFamily(f, space.m)
         except ValueError as e:
             raise ConfigError(f"{field}.table", str(e))
     if kind == "singleton":
-        table = _require(spec, "table", list)
-        f = KernelFunction(np.asarray(table, dtype=float))
         if f.table.shape != (space.m,) * f.k:
             raise ConfigError(f"{field}.table", "shape does not match the space")
         sigma = _require(spec, "sigma", (int, float), lambda v: 0 < v <= 1,

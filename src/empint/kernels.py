@@ -98,11 +98,6 @@ def product_weights(nu, k: int, m: int) -> np.ndarray:
     return out.ravel()
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 class FunctionFamily:
     """Indexed family of same-arity kernels with an L2-density budget."""
 
@@ -115,15 +110,24 @@ class FunctionFamily:
         self.beta = beta
         self.sigma = sigma
 
-    def __len__(self) -> int:
+    def _distinct(self):
+        """(distinct flat tables in first-seen order, member -> table id):
+        the one hook a subclass supplies; members derive from it."""
         raise NotImplementedError
 
-    def member(self, i: int) -> KernelFunction:
-        raise NotImplementedError
+    @functools.cached_property
+    def _distinct_tables(self):
+        # lazy, so a family shipped to workers carries no tables
+        pair = self._distinct()
+        for a in pair:
+            a.setflags(write=False)
+        return pair
 
-    @property
-    def members(self):
-        return [self.member(i) for i in range(len(self))]
+    @functools.cached_property
+    def _shared_kernels(self) -> list:
+        """One immutable kernel per distinct table, viewing its row."""
+        return [KernelFunction(t.reshape((self.m,) * self.k))
+                for t in self.unique_tables()[0]]
 
     def unique_tables(self):
         """(unique flat tables, member -> unique-id map) in first-seen order.
@@ -132,20 +136,18 @@ class FunctionFamily:
         metric, so nets and suprema run over the unique representatives.
         Cached and read-only: families are immutable after construction.
         """
-        if getattr(self, "_unique_cache", None) is not None:
-            return self._unique_cache
-        seen = {}
-        group = np.empty(len(self), dtype=np.int64)
-        tables = []
-        for i in range(len(self)):
-            table = self.member(i).table
-            key = table.tobytes()
-            if key not in seen:
-                seen[key] = len(tables)
-                tables.append(table.ravel())
-            group[i] = seen[key]
-        self._unique_cache = (_read_only(np.array(tables)), _read_only(group))
-        return self._unique_cache
+        return self._distinct_tables
+
+    def __len__(self) -> int:
+        return len(self.unique_tables()[1])
+
+    def member(self, i: int) -> KernelFunction:
+        return self._shared_kernels[self.unique_tables()[1][i]]
+
+    @property
+    def members(self):
+        """Every member in order; members with equal tables are one kernel."""
+        return [self._shared_kernels[g] for g in self.unique_tables()[1].tolist()]
 
     def budget_at(self, epsilon: float) -> float:
         return self.D * epsilon ** (-self.L)
@@ -164,11 +166,17 @@ class ExplicitFamily(FunctionFamily):
         super().__init__(kernels[0].k, kernels[0].m, D, L, beta, sigma)
         self.kernels = kernels
 
-    def __len__(self):
-        return len(self.kernels)
-
-    def member(self, i):
-        return self.kernels[i]
+    def _distinct(self):
+        seen = {}
+        group = np.empty(len(self.kernels), dtype=np.int64)
+        tables = []
+        for i, f in enumerate(self.kernels):
+            key = f.table.tobytes()
+            if key not in seen:
+                seen[key] = len(tables)
+                tables.append(f.table.ravel())
+            group[i] = seen[key]
+        return np.array(tables), group
 
 
 def singleton_family(f: KernelFunction, sigma: float = 1.0) -> ExplicitFamily:
@@ -218,35 +226,31 @@ class BoxRestrictionFamily(FunctionFamily):
         self.f = f
         self.axis_intervals = [(u, v) for u in range(f.m + 1)
                                for v in range(u, f.m + 1)]
-        self.boxes = list(itertools.product(self.axis_intervals, repeat=k))
-        # per-axis support bounds of f, used to collapse identical restrictions
-        self._support = []
-        for axis in range(k):
-            mask = np.any(np.abs(f.table) > 0, axis=tuple(a for a in range(k) if a != axis)) \
-                if k > 1 else np.abs(f.table) > 0
-            idx = np.nonzero(mask)[0]
-            self._support.append((int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0))
 
-    def __len__(self):
-        return len(self.boxes)
+    @property
+    def boxes(self) -> list:
+        """Each member's box, in member order."""
+        return list(itertools.product(self.axis_intervals, repeat=self.k))
 
-    def unique_tables(self):
-        """The base class's (tables, group map), built in one vectorised step.
+    def _distinct(self):
+        """Distinct restrictions, grouped in one vectorised step.
 
         Restricting f to a box gives the same table as restricting it to the
         box clipped to f's per-axis support hull, so boxes are grouped by
         their clipped box, and every box with an empty clip by the zero
         table.  Each group's table is f on its first-seen box.
         """
-        if getattr(self, "_unique_cache", None) is not None:
-            return self._unique_cache
         k, m = self.k, self.m
         iv = np.array(self.axis_intervals)
+        support = np.abs(self.f.table) > 0
         # code of a box: the per-axis (u, v) of its clipped box as digits in
         # base m + 1, or -1 when a clip is empty
         code = np.zeros((1,) * k, dtype=np.int64)
         empty = np.zeros((1,) * k, dtype=bool)
-        for axis, (lo, hi) in enumerate(self._support):
+        for axis in range(k):
+            idx = np.nonzero(np.any(support, axis=tuple(
+                a for a in range(k) if a != axis)))[0]
+            lo, hi = (idx[0], idx[-1] + 1) if idx.size else (0, 0)
             cu, cv = np.maximum(iv[:, 0], lo), np.minimum(iv[:, 1], hi)
             shape = (len(iv),) + (1,) * (k - 1 - axis)
             code = code * (m + 1) ** 2 + (cu * (m + 1) + cv).reshape(shape)
@@ -263,24 +267,7 @@ class BoxRestrictionFamily(FunctionFamily):
             shape = [reps.size] + [1] * k
             shape[axis + 1] = m
             mask = mask & inside[j].reshape(shape)
-        tables = np.where(mask, self.f.table, 0.0).reshape(reps.size, -1)
-        self._unique_cache = (_read_only(tables), _read_only(group))
-        return self._unique_cache
-
-    def _shared_members(self) -> list:
-        """One immutable kernel per distinct table, viewing its row."""
-        if getattr(self, "_shared", None) is None:
-            self._shared = [KernelFunction(t.reshape(self.f.table.shape))
-                            for t in self.unique_tables()[0]]
-        return self._shared
-
-    def member(self, i) -> KernelFunction:
-        return self._shared_members()[self.unique_tables()[1][i]]
-
-    @property
-    def members(self):
-        shared = self._shared_members()
-        return [shared[g] for g in self.unique_tables()[1].tolist()]
+        return np.where(mask, self.f.table, 0.0).reshape(reps.size, -1), group
 
 
 @dataclass
@@ -314,17 +301,15 @@ def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> EpsilonNet:
     sq = (tables ** 2) @ w
     gram_rhs = tables * w  # (U, m^k), reused for all distance rows
 
-    # first enumeration index per unique table; duplicate fancy-index
-    # assignments resolve to the last write, so reversed order keeps the first
-    first_member = np.full(nuniq, -1, dtype=np.int64)
-    first_member[group[::-1]] = np.arange(len(group) - 1, -1, -1)
+    # tables are in first-seen order, so scanning them scans members in order
+    first_member = np.unique(group, return_index=True)[1]
 
     net_uids = []
     min_dist2 = np.full(nuniq, np.inf)
-    for uid in np.argsort(first_member, kind="stable"):
+    for uid in range(nuniq):
         if min_dist2[uid] < epsilon ** 2:
             continue
-        net_uids.append(int(uid))
+        net_uids.append(uid)
         d2 = sq + sq[uid] - 2.0 * (tables @ gram_rhs[uid])
         np.minimum(min_dist2, np.maximum(d2, 0.0), out=min_dist2)
         min_dist2[uid] = 0.0  # not the rounding residue of its own distance

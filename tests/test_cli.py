@@ -420,3 +420,29 @@ def test_singleton_sigma_default_and_in_range():
     assert _build_family(family, "family", uniform_space(8), 1).sigma == 1.0
     family["sigma"] = 0.25
     assert _build_family(family, "family", uniform_space(8), 1).sigma == 0.25
+
+
+# --- family tables and scalar fields must be finite numbers ----------------
+
+@pytest.mark.parametrize("kind", ["box", "singleton"])
+@pytest.mark.parametrize("table", [
+    [[float("nan"), 0.5], [0.1, 0.2]], [["a", 0.5], [0.1, 0.2]],
+    [[0.1, 0.2], [0.3]], [[0.1, float("inf")], [0.1, 0.2]]],
+    ids=["nan", "string", "ragged", "inf"])
+def test_invalid_family_table_exits_2(tmp_path, capsys, kind, table):
+    cfg = _base_cfg(k=2, statistic="I", space={"points": 2, "weights": "uniform"},
+                    family={"kind": kind, "table": table}, x_grid=[0.0, 0.5])
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: family.table: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("A_bar", float("nan")), ("D", float("inf"))])
+def test_non_finite_scalar_field_exits_2(tmp_path, capsys, field, value):
+    cfg = {"experiment": "schedule_audit", "seed": 0, "n": 4096, "k": 1,
+           "sigma": 0.5, "x": 2.0, "A_bar": 2.0, "D": 4.0, "L": 2.0}
+    cfg[field] = value
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -197,8 +198,18 @@ def test_box_family_tables_equal_per_box_slices(k, m, table):
         assert tables.shape[0] == 1
 
 
-def test_box_family_members_share_one_immutable_kernel():
-    fam = BoxRestrictionFamily(_base_kernel(m=8, k=2, width=3), 8)
+def _explicit_with_twins():
+    """Four separately built kernels holding two distinct tables."""
+    rows = ([0.0, 1.0, 0.0], [0.5, 0.0, -0.5]) * 2
+    return ExplicitFamily([KernelFunction(np.array(r)) for r in rows],
+                          D=4.0, L=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BoxRestrictionFamily(_base_kernel(m=8, k=2, width=3), 8),
+    _explicit_with_twins], ids=["box", "explicit"])
+def test_box_family_members_share_one_immutable_kernel(make):
+    fam = make()
     tables, group = fam.unique_tables()
     twins = np.nonzero(group == group[-1])[0]
     assert twins.size > 1
@@ -206,6 +217,23 @@ def test_box_family_members_share_one_immutable_kernel():
     for a in (fam.member(0).table, tables, group):
         with pytest.raises(ValueError):
             a.flat[0] = 0.5
+    # one member per group entry, distinct tables in first-seen order
+    members = fam.members
+    assert len(fam) == len(members) == group.size
+    first = np.unique(group, return_index=True)[1]
+    assert np.all(np.diff(first) > 0)
+    for u, i in enumerate(first.tolist()):
+        assert tables[u].tobytes() == members[i].table.ravel().tobytes()
+
+
+def test_fresh_family_pickles_without_its_tables():
+    fam = BoxRestrictionFamily(_base_kernel(m=8, k=2, width=3), 8)
+    blob = pickle.dumps(fam)
+    tables, group = fam.unique_tables()
+    assert len(blob) < min(tables.nbytes, group.nbytes) / 4
+    copy_tables, copy_group = pickle.loads(blob).unique_tables()
+    assert copy_tables.tobytes() == tables.tobytes()
+    assert np.array_equal(copy_group, group)
 
 
 def test_box_family_rejects_unbounded_kernel():
