@@ -16,11 +16,9 @@ from .decomposition import (HoeffdingDecomposition, canonicalize,
                             project_q)
 from .statistics import (DegenerateSample, ExpansionCoefficients,
                          ResidualTooLarge, SampleDraw,
-                         decoupled_u_statistic, derive_expansion_coefficients,
-                         draw_bundle, h_integral, j_from_expansion,
-                         mirrored_contrast, multiple_integral_j,
-                         randomized_decoupled, u_statistic,
-                         validate_expansion)
+                         derive_expansion_coefficients, draw_bundle,
+                         h_integral, j_from_expansion, mirrored_contrast,
+                         multiple_integral_j, u_statistic, validate_expansion)
 from .chaos import (ChaosCoefficients, EnumerationRefused, chaos_moment_bound,
                     chaos_s, chaos_tail_bound, chaos_value,
                     chaos_values_all_signs, exact_chaos_moment,

@@ -23,7 +23,7 @@ def default_alpha(k: int) -> float:
 
 
 # every constant must be a finite number above its floor
-CONSTANT_FLOORS = {"C": 0, "alpha": 0, "M": 0, "gamma": 0, "K": 0, "A0": 1}
+CONSTANT_FLOORS = {"C": 0, "alpha": 0, "M": 0}
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,6 @@ class BoundConstants:
     C: float = None
     alpha: float = None
     M: float = 100.0
-    gamma: float = 0.01
-    K: float = 100.0
-    A0: float = 8.0
 
     def __post_init__(self):
         if self.C is None:

@@ -32,7 +32,7 @@ class ChaosCoefficients:
 
     n: int
     k: int
-    index_tuples: np.ndarray  # (T, k) int array, rows pairwise distinct
+    index_tuples: np.ndarray  # (T, k) int array; distinct rows of distinct entries
     values: np.ndarray  # (T,)
 
     def __post_init__(self):
@@ -46,6 +46,8 @@ class ChaosCoefficients:
             raise ValueError("index out of range")
         if np.any(np.diff(np.sort(idx, axis=1), axis=1) == 0):
             raise ValueError("coefficient tuple with repeated index")
+        if len(set(map(tuple, idx.tolist()))) != len(idx):
+            raise ValueError("repeated coefficient index tuple")
         object.__setattr__(self, "index_tuples", idx)
         object.__setattr__(self, "values", vals)
         idx.setflags(write=False)

@@ -21,9 +21,9 @@ from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
                     chaos_tail_bound, exact_chaos_tail, EnumerationRefused,
                     optimal_q_tail)
 from .decomposition import canonicalize
-from .kernels import (BoxRestrictionFamily, BudgetExceeded, ExplicitFamily,
-                      KernelFunction, interval_family, l2_norm,
-                      singleton_family)
+from .kernels import (INTERVAL_BUDGET, BoxRestrictionFamily, BudgetExceeded,
+                      ExplicitFamily, KernelFunction, interval_family,
+                      l2_norm, singleton_family)
 from .spaces import ProbabilitySpace, finite_space, stream_rng, uniform_space
 from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
     validate_expansion
@@ -234,8 +234,8 @@ def execute(cfg: dict, workers: int = 1):
                                             seed, grid=grid, workers=workers)
         except ValueError as e:
             raise ConfigError("sigma", str(e))
-        # D = 4, L = 2: the budget of interval_family
-        rows = overlay_bounds(res.curve, 1, res.sigma, 4.0, 2.0, 0.0, n, consts)
+        rows = overlay_bounds(res.curve, 1, res.sigma, *INTERVAL_BUDGET, n,
+                              consts)
         payload = {"x_star": res.x_star, "x_low": res.x_low, "p_low": res.p_low,
                    "x_high": res.x_high, "p_high": res.p_high,
                    "grid": res.grid, "replications": reps}

@@ -55,17 +55,13 @@ class TailCurve:
 
     @classmethod
     def from_maxima(cls, maxima: np.ndarray, x_grid) -> "TailCurve":
+        """Tail P(max >= x) at each x, with Wilson intervals."""
         x_grid = np.asarray(x_grid, dtype=float)
         reps = maxima.size
-        probs = np.empty_like(x_grid)
-        lo = np.empty_like(x_grid)
-        hi = np.empty_like(x_grid)
-        for i, x in enumerate(x_grid):
-            hits = int(np.count_nonzero(maxima >= x))
-            probs[i] = hits / reps
-            lo[i], hi[i] = wilson_interval(hits, reps)
-        return cls(x_grid=x_grid, probs=probs, ci_lo=lo, ci_hi=hi,
-                   replications=reps)
+        hits = reps - np.searchsorted(np.sort(maxima), x_grid, side="left")
+        ci = np.reshape([wilson_interval(int(h), reps) for h in hits], (-1, 2))
+        return cls(x_grid=x_grid, probs=hits / reps, ci_lo=ci[:, 0],
+                   ci_hi=ci[:, 1], replications=reps)
 
 
 # ---------------------------------------------------------------------------

@@ -111,14 +111,30 @@ class FunctionFamily:
         self.sigma = sigma
 
     def _distinct(self):
-        """(distinct flat tables in first-seen order, member -> table id):
-        the one hook a subclass supplies; members derive from it."""
+        """(candidate flat tables, member -> candidate id): the one hook a
+        subclass supplies; candidates may repeat, members derive from it."""
         raise NotImplementedError
 
     @functools.cached_property
     def _distinct_tables(self):
+        """Candidates merged when equal as numbers, first seen first: each
+        row is bucketed by the hash of its bytes (+ 0.0 turns -0.0 into 0.0)
+        and a hit is confirmed by value, so no second copy is held."""
         # lazy, so a family shipped to workers carries no tables
-        pair = self._distinct()
+        rows, group = self._distinct()
+        buckets, keep = {}, []
+        ids = np.empty(len(rows), dtype=np.int64)
+        for i, row in enumerate(rows):
+            bucket = buckets.setdefault(hash((row + 0.0).tobytes()), [])
+            for u in bucket:
+                if np.array_equal(rows[keep[u]], row):
+                    break
+            else:
+                u = len(keep)
+                keep.append(i)
+                bucket.append(u)
+            ids[i] = u
+        pair = (rows if len(keep) == len(rows) else rows[keep]), ids[group]
         for a in pair:
             a.setflags(write=False)
         return pair
@@ -132,8 +148,9 @@ class FunctionFamily:
     def unique_tables(self):
         """(unique flat tables, member -> unique-id map) in first-seen order.
 
-        Members with identical tables are indistinguishable in any L2(nu)
-        metric, so nets and suprema run over the unique representatives.
+        Rows are pairwise unequal as numbers.  Members with equal tables are
+        indistinguishable in any L2(nu) metric, so nets and suprema run over
+        the unique representatives.
         Cached and read-only: families are immutable after construction.
         """
         return self._distinct_tables
@@ -167,20 +184,16 @@ class ExplicitFamily(FunctionFamily):
         self.kernels = kernels
 
     def _distinct(self):
-        seen = {}
-        group = np.empty(len(self.kernels), dtype=np.int64)
-        tables = []
-        for i, f in enumerate(self.kernels):
-            key = f.table.tobytes()
-            if key not in seen:
-                seen[key] = len(tables)
-                tables.append(f.table.ravel())
-            group[i] = seen[key]
-        return np.array(tables), group
+        return (np.array([f.table.ravel() for f in self.kernels]),
+                np.arange(len(self.kernels)))
 
 
 def singleton_family(f: KernelFunction, sigma: float = 1.0) -> ExplicitFamily:
     return ExplicitFamily([f], D=1.0, L=1.0, sigma=sigma)
+
+
+# (D, L, beta): L2-density budget of the d=1 box construction at k=1
+INTERVAL_BUDGET = (4.0, 2.0, 0.0)
 
 
 def interval_family(sigma: float, grid: int) -> ExplicitFamily:
@@ -203,8 +216,7 @@ def interval_family(sigma: float, grid: int) -> ExplicitFamily:
             table = np.zeros(grid)
             table[start:start + length] = 1.0
             kernels.append(KernelFunction(table))
-    # L2-density budget of the d=1 box construction at k=1
-    return ExplicitFamily(kernels, D=4.0, L=2.0, sigma=sigma)
+    return ExplicitFamily(kernels, *INTERVAL_BUDGET, sigma=sigma)
 
 
 class BoxRestrictionFamily(FunctionFamily):
@@ -233,12 +245,14 @@ class BoxRestrictionFamily(FunctionFamily):
         return list(itertools.product(self.axis_intervals, repeat=self.k))
 
     def _distinct(self):
-        """Distinct restrictions, grouped in one vectorised step.
+        """Candidate restrictions, grouped in one vectorised step.
 
         Restricting f to a box gives the same table as restricting it to the
         box clipped to f's per-axis support hull, so boxes are grouped by
         their clipped box, and every box with an empty clip by the zero
-        table.  Each group's table is f on its first-seen box.
+        table.  Each group's table is f on its first-seen box.  Boxes with
+        different clips can still give equal tables (f = [1, 0, 1] on
+        [1, 2) is zero), which the base class merges.
         """
         k, m = self.k, self.m
         iv = np.array(self.axis_intervals)

@@ -193,19 +193,6 @@ def u_statistic(f: KernelFunction, sample: Sample) -> float:
     return _flat_dot(f, distinct_weights([sample.values] * f.k, f.m))
 
 
-def decoupled_u_statistic(f: KernelFunction, draw: SampleDraw) -> float:
-    """As u_statistic but coordinate s reads from decoupled copy s."""
-    cols = [draw.decoupled[s].values for s in range(f.k)]
-    return _flat_dot(f, distinct_weights(cols, f.m))
-
-
-def randomized_decoupled(f: KernelFunction, draw: SampleDraw) -> float:
-    """Decoupled U-statistic with each term weighted by the product of the
-    signs of its row indices."""
-    cols = [draw.decoupled[s].values for s in range(f.k)]
-    return _flat_dot(f, distinct_weights(cols, f.m, draw.signs))
-
-
 def mirrored_contrast(f: KernelFunction, draw: SampleDraw,
                       randomized: bool = False) -> float:
     """Alternating-sign sum over coordinate subsets V of decoupled

@@ -1,3 +1,4 @@
+import dataclasses
 from math import exp, factorial, log
 
 import numpy as np
@@ -14,14 +15,16 @@ def test_default_constants():
     c = BoundConstants(k=2)
     assert c.C == pytest.approx(exp(2))
     assert c.alpha == pytest.approx(2 / (4 * np.e * factorial(2) ** 0.5))
-    assert c.M == 100.0 and c.gamma == 0.01 and c.K == 100.0 and c.A0 == 8.0
+    assert c.M == 100.0
+    # C, alpha and M are the only constants any bound reads
+    assert [f.name for f in dataclasses.fields(c)] == ["k", "C", "alpha", "M"]
 
 
 def test_constants_positivity_enforced():
     with pytest.raises(ValueError):
         BoundConstants(k=1, C=-1.0)
     with pytest.raises(ValueError):
-        BoundConstants(k=1, A0=1.0)
+        BoundConstants(k=1, M=0.0)
 
 
 def test_constants_from_dict_overrides():
@@ -198,13 +201,15 @@ def test_induction_rejects_bad_a0():
 
 @pytest.mark.parametrize("overrides", [
     {"C": float("nan")}, {"alpha": float("inf")}, {"M": -float("inf")},
-    {"A0": float("nan")}, {"gamma": "abc"}, {"K": True}])
+    {"M": float("nan")}, {"C": "abc"}, {"alpha": True}])
 def test_constants_must_be_finite_numbers(overrides):
     with pytest.raises(ValueError):
         BoundConstants.from_dict(1, overrides)
 
 
-@pytest.mark.parametrize("overrides", ["abc", [1.0], {"foo": 1.0}, {"k": 2}])
+@pytest.mark.parametrize("overrides", [
+    "abc", [1.0], {"foo": 1.0}, {"k": 2},
+    {"gamma": 0.01}, {"K": 100.0}, {"A0": 8.0}])
 def test_constants_from_dict_rejects_non_objects_and_unknown_names(overrides):
     with pytest.raises(ValueError):
         BoundConstants.from_dict(1, overrides)

@@ -68,8 +68,23 @@ def test_chaos_value_affine_check_uses_pm_one_signs_only_in_api():
 
 
 def test_rejects_repeated_index_tuples():
-    with pytest.raises(ValueError):
-        _coeffs(4, 2, [[1, 1]], [1.0])
+    # a repeated index inside a tuple, and one ordered tuple listed twice
+    for idx in ([[1, 1]], [[0, 1], [0, 1]]):
+        with pytest.raises(ValueError):
+            _coeffs(4, 2, idx, [1.0] * len(idx))
+
+
+def test_chaos_audit_repeated_tuple_exits_2(tmp_path, capsys):
+    """A tuple listed twice would undercount S and overlay a wrong bound."""
+    cfg = {"experiment": "chaos_audit", "seed": 0, "n": 4, "k": 2,
+           "coefficients": {"index_tuples": [[0, 1]] * 100,
+                            "values": [1.0] * 100},
+           "x_grid": [0.0, 99.0]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: coefficients: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

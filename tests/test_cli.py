@@ -247,8 +247,10 @@ def test_hit_count_rows_match_pinned_curve(tmp_path, cfg, rows):
     (_base_cfg(k=1, space={"points": 4, "weights": "uniform"},
                family={"kind": "box", "table": [0.0, 0.5, -1.0, 0.0]}),
      2, 15, 4),
-    # full-support 4x4 kernel: 10 x 10 non-empty boxes plus the zero table
-    (PINNED_CURVES[2][0], 1, 225, 101),
+    # 4x4 kernel with four zero entries, one in each row and column: the
+    # 10 x 10 boxes of its full support hull and the zero table hold only
+    # 73 distinct tables, as boxes whose extra cells are zero repeat others
+    (PINNED_CURVES[2][0], 1, 225, 73),
     # 16 + 15 + 14 + 13 distinct intervals of 1 to 4 cells
     (PINNED_CURVES[1][0], 2, 58, 58),
 ])

@@ -13,9 +13,9 @@ from empint.kernels import BoxRestrictionFamily, KernelFunction, \
     interval_family, l2_norm, singleton_family
 from empint.spaces import Sample, draw_sample, finite_space, stream_rng, \
     uniform_space
-from empint.statistics import (STREAMS_PER_DRAW, SampleDraw, draw_bundle,
-                               enumerate_configurations,
-                               multiple_integral_j, randomized_decoupled)
+from empint.statistics import (STREAMS_PER_DRAW, SampleDraw, distinct_weights,
+                               draw_bundle, enumerate_configurations,
+                               multiple_integral_j)
 from empint.experiments import (TailCurve, TooFewQualifyingPoints,
                                 _member_matrix,
                                 conditional_chaos_coefficients,
@@ -43,6 +43,21 @@ def test_tail_curve_from_maxima():
     assert np.all(curve.wilson_halfwidths >= 0)
     assert np.all(curve.ci_lo <= curve.probs + 1e-12)
     assert np.all(curve.ci_hi >= curve.probs - 1e-12)
+
+
+def test_tail_conventions_on_integer_values():
+    """from_maxima counts maxima >= x and exact_chaos_tail counts |Z| > x;
+    the two differ where a value equals x."""
+    curve = TailCurve.from_maxima(np.array([0.0, 2.0, 2.0, 0.0]),
+                                  [0.0, 2.0, 3.0])
+    assert curve.probs.tolist() == [1.0, 0.5, 0.0]
+    assert (curve.ci_lo[1], curve.ci_hi[1]) == wilson_interval(2, 4)
+    # eps_0 eps_1 + eps_1 eps_2 is +-2 or 0, each |Z| with probability 1/2
+    coeffs = ChaosCoefficients(n=3, k=2,
+                               index_tuples=np.array([[0, 1], [1, 2]]),
+                               values=np.ones(2))
+    assert exact_chaos_tail(coeffs, 0.0) == 0.5
+    assert exact_chaos_tail(coeffs, 2.0) == 0.0
 
 
 def _canonical_singleton(m, k, seed, space):
@@ -403,6 +418,13 @@ def test_exponent_fit_too_few_points():
 
 # --- linkage to Rademacher chaos ------------------------------------------
 
+def _randomized_decoupled(f, draw):
+    """Decoupled U-statistic with each term weighted by its row signs."""
+    cols = [draw.decoupled[s].values for s in range(f.k)]
+    w = distinct_weights(cols, f.m, draw.signs)
+    return float(f.table.ravel() @ w.ravel())
+
+
 def test_conditional_statistic_is_a_chaos():
     sp = uniform_space(3)
     for k in (1, 2):
@@ -412,7 +434,7 @@ def test_conditional_statistic_is_a_chaos():
         for bits in itertools.islice(itertools.product((-1.0, 1.0), repeat=6), 16):
             d = dataclasses.replace(draw, signs=np.array(bits))
             from empint.chaos import chaos_value
-            assert randomized_decoupled(f, d) == pytest.approx(
+            assert _randomized_decoupled(f, d) == pytest.approx(
                 chaos_value(coeffs, np.array(bits)), abs=1e-10)
 
 
@@ -427,7 +449,7 @@ def test_conditional_tail_matches_exact_enumeration():
     values = []
     for bits in itertools.product((-1.0, 1.0), repeat=n):
         d = dataclasses.replace(draw, signs=np.array(bits))
-        values.append(abs(randomized_decoupled(f, d)))
+        values.append(abs(_randomized_decoupled(f, d)))
     values = np.array(values)
     for x in (0.0, 0.2, 0.5, 1.0):
         direct = float(np.count_nonzero(values > x)) / values.size

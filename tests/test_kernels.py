@@ -137,35 +137,16 @@ def _slice_member(f, box):
     return table
 
 
-def _clip_group(fam, support):
-    """Reference group map: boxes keyed by their box clipped to f's per-axis
-    support hull (None when the clip is empty), numbered in first-seen order."""
-    seen, group = {}, []
-    for box in fam.boxes:
-        key = []
-        for (u, v), (lo, hi) in zip(box, support):
-            if max(u, lo) >= min(v, hi):
-                key = None
-                break
-            key.append((max(u, lo), min(v, hi)))
-        group.append(seen.setdefault(None if key is None else tuple(key),
-                                     len(seen)))
-    return group
-
-
-def _support_hull(table):
-    k = table.ndim
-    hull = []
-    for axis in range(k):
-        nz = np.nonzero(np.any(table != 0, axis=tuple(a for a in range(k)
-                                                      if a != axis)))[0]
-        hull.append((int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0))
-    return hull
+def _key(table):
+    """Bytes of a finite table with -0.0 read as 0.0: two keys are equal
+    exactly when the tables are equal as numbers."""
+    return (table + 0.0).tobytes()
 
 
 def _box_tables():
     """(k, m, table): f = 0, support touching both edges, negative entries
-    and a support hull with interior zeros, at k = 1, 2, 3 and m <= 8."""
+    and a support hull with interior zeros, at k = 1, 2, 3 and m <= 8; then
+    an interior zero slice and signed zeros."""
     rng = stream_rng(21, 0)
     for k, ms in ((1, (1, 2, 5, 8)), (2, (1, 3, 8)), (3, (2, 4))):
         for m in ms:
@@ -179,6 +160,9 @@ def _box_tables():
                     -1, 1, size=(m - 2,) * k)
                 inner[(1,) * k] = 0.0
                 yield k, m, inner
+    yield 1, 3, np.array([1.0, 0.0, 1.0])
+    yield 2, 3, np.array([[-0.0, 0.5, -0.0], [0.0, -0.0, 0.0],
+                          [-0.0, 0.25, 0.0]])
 
 
 @pytest.mark.parametrize("k, m, table", list(_box_tables()))
@@ -186,16 +170,34 @@ def test_box_family_tables_equal_per_box_slices(k, m, table):
     f = KernelFunction(table)
     fam = BoxRestrictionFamily(f, m)
     tables, group = fam.unique_tables()
-    expected = [_slice_member(f, box) for box in fam.boxes]
-    assert group.tolist() == _clip_group(fam, _support_hull(table))
+    keys = [_key(_slice_member(f, box)) for box in fam.boxes]
     members = fam.members
-    assert len(members) == len(fam) == len(expected)
-    for i, want in enumerate(expected):
-        assert fam.member(i).table.tobytes() == want.tobytes()
+    assert len(members) == len(fam) == len(keys)
+    for i, key in enumerate(keys):
+        assert _key(fam.member(i).table) == key
         assert members[i] is fam.member(i)
-        assert tables[group[i]].tobytes() == want.tobytes()
+        assert _key(tables[group[i]]) == key
+    # one row, one group and one kernel per distinct slice: group[i] ==
+    # group[j] and member(i) is member(j) exactly when the slices are equal
+    assert len({_key(t) for t in tables}) == tables.shape[0] == len(set(keys))
+    assert len(set(zip(keys, group.tolist(), map(id, members)))) == \
+        len(set(keys))
     if not table.any():
         assert tables.shape[0] == 1
+
+
+def test_unique_tables_merge_tables_equal_as_numbers():
+    # [1, 0, 1] on [1, 2) is the zero table, as on an empty box
+    box = BoxRestrictionFamily(KernelFunction(np.array([1.0, 0.0, 1.0])), 3)
+    assert box.unique_tables()[0].tolist() == [
+        [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+    explicit = ExplicitFamily([KernelFunction(np.array(r)) for r in
+                               ([0.0, 1.0], [-0.0, 1.0], [1.0, 1.0])],
+                              D=4.0, L=1.0)
+    tables, group = explicit.unique_tables()
+    assert tables.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+    assert group.tolist() == [0, 0, 1]
+    assert explicit.member(0) is explicit.member(1)
 
 
 def _explicit_with_twins():

@@ -12,7 +12,6 @@ from empint.spaces import (Sample, draw_sample, finite_space, stream_rng,
                            uniform_space)
 from empint.statistics import (STREAMS_PER_DRAW, DegenerateSample,
                                ResidualTooLarge, SampleDraw, _partitions,
-                               decoupled_u_statistic,
                                derive_expansion_coefficients,
                                distinct_weights, draw_bundle,
                                enumerate_configurations,
@@ -20,8 +19,7 @@ from empint.statistics import (STREAMS_PER_DRAW, DegenerateSample,
                                exact_u_statistic_moment, h_integral,
                                j_from_expansion, mirrored_contrast,
                                multiple_integral_j, ordered_distinct_tuple_count,
-                               randomized_decoupled, u_statistic,
-                               validate_expansion)
+                               u_statistic, validate_expansion)
 
 
 def _random_kernel(m, k, seed, canonical=False, space=None):
@@ -29,6 +27,13 @@ def _random_kernel(m, k, seed, canonical=False, space=None):
     if canonical:
         f = canonicalize(f, space)
     return f
+
+
+def _decoupled(f, draw, signs=None):
+    """Decoupled U-statistic of f, coordinate s read from decoupled copy s,
+    each term weighted by the product of its row signs when signs are given."""
+    cols = [draw.decoupled[s].values for s in range(f.k)]
+    return float(f.table.ravel() @ distinct_weights(cols, f.m, signs).ravel())
 
 
 def _sample(values):
@@ -161,8 +166,8 @@ def test_statistic_linearity():
     draw = draw_bundle(sp, 7, 2, seed=3)
     for stat in (lambda h: u_statistic(h, s),
                  lambda h: multiple_integral_j(h, s, sp),
-                 lambda h: decoupled_u_statistic(h, draw),
-                 lambda h: randomized_decoupled(h, draw)):
+                 lambda h: _decoupled(h, draw),
+                 lambda h: _decoupled(h, draw, draw.signs)):
         assert stat(combo) == pytest.approx(2.0 * stat(f) - 0.5 * stat(g), abs=1e-12)
 
 
@@ -172,7 +177,7 @@ def test_decoupled_k1_reads_copy_one():
     sp = uniform_space(3)
     draw = draw_bundle(sp, 6, 1, seed=5)
     f = _random_kernel(3, 1, 5)
-    assert decoupled_u_statistic(f, draw) == pytest.approx(
+    assert _decoupled(f, draw) == pytest.approx(
         u_statistic(f, draw.decoupled[0]))
 
 
@@ -180,7 +185,7 @@ def test_decoupled_constant_counts():
     sp = uniform_space(2)
     draw = draw_bundle(sp, 5, 2, seed=9)
     f = KernelFunction(np.ones((2, 2)))
-    assert decoupled_u_statistic(f, draw) == pytest.approx(comb(5, 2))
+    assert _decoupled(f, draw) == pytest.approx(comb(5, 2))
 
 
 def test_randomized_with_unit_signs_is_decoupled():
@@ -188,8 +193,8 @@ def test_randomized_with_unit_signs_is_decoupled():
     draw = draw_bundle(sp, 6, 2, seed=10)
     draw = dataclasses.replace(draw, signs=np.ones(6))
     f = _random_kernel(3, 2, 10)
-    assert randomized_decoupled(f, draw) == pytest.approx(
-        decoupled_u_statistic(f, draw), abs=1e-12)
+    assert _decoupled(f, draw, draw.signs) == pytest.approx(
+        _decoupled(f, draw), abs=1e-12)
 
 
 def test_randomized_sign_flip_negates_k1():
@@ -197,8 +202,8 @@ def test_randomized_sign_flip_negates_k1():
     draw = draw_bundle(sp, 6, 1, seed=12)
     flipped = dataclasses.replace(draw, signs=-draw.signs)
     f = _random_kernel(3, 1, 12)
-    assert randomized_decoupled(f, flipped) == pytest.approx(
-        -randomized_decoupled(f, draw), abs=1e-12)
+    assert _decoupled(f, flipped, flipped.signs) == pytest.approx(
+        -_decoupled(f, draw, draw.signs), abs=1e-12)
 
 
 def test_randomized_mean_over_signs_is_zero():
@@ -210,7 +215,7 @@ def test_randomized_mean_over_signs_is_zero():
         total = 0.0
         for bits in itertools.product((-1.0, 1.0), repeat=6):
             d = dataclasses.replace(draw, signs=np.array(bits))
-            total += randomized_decoupled(f, d)
+            total += _decoupled(f, d, d.signs)
         assert total / 2 ** 6 == pytest.approx(0.0, abs=1e-10)
 
 
