@@ -94,9 +94,10 @@ def _build_family(spec, field: str, space: ProbabilitySpace, k: int):
             table = np.asarray(_require(spec, "table", list), dtype=float)
         except (ValueError, TypeError):
             raise ConfigError(f"{field}.table", "need a rectangular array of numbers")
-        if not np.all(np.isfinite(table)):
-            raise ConfigError(f"{field}.table", "entries must be finite")
-        f = KernelFunction(table)
+        try:
+            f = KernelFunction(table)
+        except ValueError as e:
+            raise ConfigError(f"{field}.table", str(e))
     if kind == "box":
         try:
             return BoxRestrictionFamily(f, space.m)
@@ -263,7 +264,8 @@ def execute(cfg: dict, workers: int = 1):
         if n < k:
             raise ConfigError("n", "must be >= k")
         space = _build_space(cfg.get("space"), "space")
-        trials = _require(cfg, "trials", int, lambda v: v >= 1, "must be >= 1")
+        trials = _require(cfg, "trials", int, lambda v: v >= 3 * (k + 1),
+                          f"must be >= 3*(k+1) = {3 * (k + 1)}")
         pairs = _require(cfg, "holdout_pairs", int, lambda v: v >= 1, "must be >= 1")
         coeffs = derive_expansion_coefficients(n, k, space, trials, seed)
         worst = validate_expansion(coeffs, space, pairs, seed)

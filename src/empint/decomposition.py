@@ -76,20 +76,11 @@ class HoeffdingDecomposition:
             return self.constant
         return self.components[V]
 
-    def lifted(self, V) -> np.ndarray:
-        """Component broadcast back to a full arity-k table."""
-        V = frozenset(V)
-        m = self.base_space.m
-        if not V:
-            return np.full((m,) * self.k, self.constant)
-        table = self.components[V].table
-        shape = [m if (j + 1) in V else 1 for j in range(self.k)]
-        return np.broadcast_to(table.reshape(shape), (m,) * self.k)
-
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.base_space.m,) * self.k)
-        for V in all_subsets(self.k):
-            out = out + self.lifted(V)
+        m, k = self.base_space.m, self.k
+        out = np.full((m,) * k, self.constant)
+        for V, f in self.components.items():
+            out = out + f.table.reshape([m if j in V else 1 for j in range(1, k + 1)])
         return out
 
 
@@ -108,29 +99,21 @@ def canonicalize(f: KernelFunction, mu: ProbabilitySpace) -> KernelFunction:
 
 
 def hoeffding_decompose(f: KernelFunction, mu: ProbabilitySpace) -> HoeffdingDecomposition:
-    """Expand f through the product of (P_j + Q_j) over all coordinates.
+    """Expand f through the product of (P_j + Q_j), one coordinate j at a time.
 
-    For each subset V: apply Q on the coordinates in V and integrate the
-    others out.  The operators acting on distinct coordinates commute, so the
-    order is immaterial; P's are applied first since they shrink the table.
-    """
+    A partial table holds the axes of the coordinates V given Q so far, then
+    those not yet expanded.  Coordinate j splits it into p = P_j t (one
+    contraction) and, for V + {j}, t - p broadcast back: 2^k - 1 in all."""
     _check_shape(f, mu)
-    k = f.k
-    w = mu.weights
-    components = {}
-    constant = 0.0
-    for V in all_subsets(k):
-        table = f.table
-        # integrate out coordinates not in V, from the highest axis down
-        for coord in range(k, 0, -1):
-            if coord not in V:
-                table = np.tensordot(table, w, axes=([coord - 1], [0]))
-        if not V:
-            constant = float(table)
-            continue
-        # remaining axes correspond to sorted(V); apply Q on each
-        for axis in range(len(V)):
-            table = table - _p_bar(table, axis, w)
-        components[V] = KernelFunction(table)
-    return HoeffdingDecomposition(k=k, constant=constant, components=components,
-                                  base_space=mu)
+    parts = {frozenset(): f.table}
+    for coord in range(1, f.k + 1):
+        split = {}
+        for V, t in parts.items():
+            p = np.tensordot(t, mu.weights, axes=([len(V)], [0]))
+            split[V] = p
+            split[V | {coord}] = t - np.expand_dims(p, len(V))
+        parts = split
+    constant = float(parts.pop(frozenset()))
+    return HoeffdingDecomposition(
+        k=f.k, constant=constant, base_space=mu,
+        components={V: KernelFunction(t) for V, t in parts.items()})

@@ -28,12 +28,14 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class KernelFunction:
-    """Real-valued function of k points, dense-tabulated."""
+    """Real-valued function of k points, dense-tabulated; every entry finite."""
 
     table: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("kernel table entries must be finite")
         object.__setattr__(self, "table", t)
         t.setflags(write=False)
 

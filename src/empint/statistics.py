@@ -261,8 +261,19 @@ def _expansion_row(f: KernelFunction, sample: Sample,
     return row
 
 
-def _random_kernel(space: ProbabilitySpace, k: int, rng: np.random.Generator) -> KernelFunction:
-    return KernelFunction(rng.standard_normal((space.m,) * k))
+def _expansion_pairs(space: ProbabilitySpace, n: int, k: int, count: int,
+                     seed: int, first: int):
+    """Expansion rows and J of `count` random (kernel, sample) pairs: the
+    kernels from stream `first`, sample t from stream first + 1 + t."""
+    rng = stream_rng(seed, first)
+    rows = np.zeros((count, k + 1))
+    targets = np.zeros(count)
+    for t in range(count):
+        f = KernelFunction(rng.standard_normal((space.m,) * k))
+        sample = draw_sample(space, n, seed, first + 1 + t)
+        rows[t] = _expansion_row(f, sample, space)
+        targets[t] = multiple_integral_j(f, sample, space)
+    return rows, targets
 
 
 def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
@@ -275,15 +286,11 @@ def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
         raise DegenerateSample(f"n={n} < k={k}")
     if trials < 3 * (k + 1):
         raise ValueError("trials must be at least 3*(k+1)")
-    rng = stream_rng(seed, 0)
-    rows = np.zeros((trials, k + 1))
-    targets = np.zeros(trials)
-    for t in range(trials):
-        f = _random_kernel(space, k, rng)
-        sample = draw_sample(space, n, seed, stream_id=1 + t)
-        rows[t] = _expansion_row(f, sample, space)
-        targets[t] = multiple_integral_j(f, sample, space)
-    coeffs, _, _, _ = np.linalg.lstsq(rows, targets, rcond=None)
+    rows, targets = _expansion_pairs(space, n, k, trials, seed, 0)
+    coeffs, _, rank, _ = np.linalg.lstsq(rows, targets, rcond=None)
+    if rank < k + 1:
+        raise ResidualTooLarge(f"expansion fit rank {rank} < k+1 = {k + 1}: "
+                               "the coefficients are not determined")
     residual = float(np.linalg.norm(rows @ coeffs - targets)
                      / max(np.linalg.norm(targets), 1e-300))
     if residual > rel_tol:
@@ -296,23 +303,18 @@ def j_from_expansion(f: KernelFunction, sample: Sample, space: ProbabilitySpace,
     """Evaluate J through the degenerate U-statistic expansion."""
     if f.k != coeffs.k or sample.n != coeffs.n:
         raise ValueError("coefficients do not match (n, k)")
-    row = _expansion_row(f, sample, space)
-    return float(row @ coeffs.values)
+    return float(_expansion_row(f, sample, space) @ coeffs.values)
 
 
 def validate_expansion(coeffs: ExpansionCoefficients, space: ProbabilitySpace,
                        pairs: int, seed: int) -> float:
     """Max relative disagreement between J and its expansion on fresh
     random (kernel, sample) pairs, drawn from streams the fit never opens."""
-    rng = stream_rng(seed, HOLDOUT_STREAMS)
-    worst = 0.0
-    for t in range(pairs):
-        f = _random_kernel(space, coeffs.k, rng)
-        sample = draw_sample(space, coeffs.n, seed, HOLDOUT_STREAMS + 1 + t)
-        direct = multiple_integral_j(f, sample, space)
-        via = j_from_expansion(f, sample, space, coeffs)
-        worst = max(worst, abs(direct - via) / max(abs(direct), 1e-12))
-    return worst
+    rows, direct = _expansion_pairs(space, coeffs.n, coeffs.k, pairs, seed,
+                                    HOLDOUT_STREAMS)
+    via = np.array([row @ coeffs.values for row in rows])
+    return float(np.max(np.abs(direct - via) / np.maximum(np.abs(direct), 1e-12),
+                        initial=0.0))
 
 
 # ---------------------------------------------------------------------------

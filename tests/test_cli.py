@@ -172,6 +172,27 @@ def test_expansion_audit(tmp_path):
     assert len(payload["coefficients"]) == 3
 
 
+def test_expansion_audit_too_few_trials_exits_2(tmp_path, capsys):
+    cfg = {"experiment": "expansion_audit", "seed": 0, "n": 6, "k": 3,
+           "space": {"points": 16, "weights": "uniform"},
+           "trials": 5, "holdout_pairs": 10}
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: trials: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_expansion_audit_rank_deficient_fit_exits_3(tmp_path, capsys):
+    # two points and k=3: every row of the fit is zero, so it determines no
+    # coefficient and its residual is 0
+    cfg = {"experiment": "expansion_audit", "seed": 0, "n": 6, "k": 3,
+           "space": {"points": 2, "weights": "uniform"},
+           "trials": 40, "holdout_pairs": 10}
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical check failed: expansion fit rank 0 < k+1 = 4")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cfg", [
     _base_cfg(n=1, k=2, statistic="I"),
     _base_cfg(n=1, k=2, statistic="decoupled-I"),

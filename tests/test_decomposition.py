@@ -127,6 +127,33 @@ def test_decompose_property(m, k, seed):
             assert is_canonical(d.component(V), sp, tol=1e-10)
 
 
+def _per_subset_component(f, sp, V):
+    """f_V rebuilt on its own: P on every coordinate outside V, highest
+    first, then Q on each remaining axis, i.e. on the coordinates of V."""
+    table = f.table
+    for coord in range(f.k, 0, -1):
+        if coord not in V:
+            table = np.tensordot(table, sp.weights, axes=([coord - 1], [0]))
+    for axis in range(len(V)):
+        p = np.tensordot(table, sp.weights, axes=([axis], [0]))
+        table = table - np.expand_dims(p, axis)
+    return table
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_decompose_matches_per_subset_formula(k):
+    sp = finite_space([0.3, 0.0, 0.5, 0.2])  # one zero-weight atom
+    for seed in range(3):
+        f = _random_kernel(4, k, 40 + seed)
+        d = hoeffding_decompose(f, sp)
+        assert set(d.components) == {V for V in all_subsets(k) if V}
+        assert abs(d.constant - float(_per_subset_component(f, sp, frozenset()))) < 1e-12
+        for V, component in d.components.items():
+            assert component.table.shape == (4,) * len(V)
+            ref = _per_subset_component(f, sp, V)
+            assert np.max(np.abs(component.table - ref)) < 1e-12
+
+
 def _l2_under(table, weight_list):
     g = table ** 2
     for w in reversed(weight_list):

@@ -13,6 +13,14 @@ from empint.kernels import (BoxRestrictionFamily, BudgetExceeded,
 from empint.spaces import finite_space, stream_rng, uniform_space
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_rejects_non_finite_entries(bad):
+    # a NaN member makes every Monte Carlo maximum NaN, which the tail
+    # count reads as lying above every x
+    with pytest.raises(ValueError, match="finite"):
+        KernelFunction([bad, 0.5, 0.1, 0.2])
+
+
 def test_sup_norm_zero():
     assert sup_norm(KernelFunction(np.zeros((3, 3)))) == 0.0
 

@@ -430,6 +430,14 @@ def test_expansion_rejects_too_few_trials():
         derive_expansion_coefficients(5, 2, uniform_space(4), trials=5, seed=0)
 
 
+@pytest.mark.parametrize("m, n, k", [(2, 2, 2), (2, 6, 3)])
+def test_expansion_rejects_rank_deficient_fit(m, n, k):
+    """A space of at most k points leaves the fit below rank k+1: its least
+    squares solution fits with a tiny residual but determines nothing."""
+    with pytest.raises(ResidualTooLarge, match=f"rank .* < k\\+1 = {k + 1}"):
+        derive_expansion_coefficients(n, k, uniform_space(m), trials=40, seed=0)
+
+
 def test_expansion_rejects_degenerate():
     with pytest.raises(DegenerateSample):
         derive_expansion_coefficients(1, 2, uniform_space(4), trials=30, seed=0)
