@@ -4,9 +4,9 @@ Rademacher chaos enumeration, chaining schedules and Monte Carlo probes."""
 
 __version__ = "0.1.0"
 
-from .spaces import (ProbabilitySpace, Sample, DiscreteMeasure, finite_space,
-                     uniform_space, draw_sample, empirical_measure,
-                     signed_increment, stream_rng)
+from .spaces import (InvalidArgument, ProbabilitySpace, Sample,
+                     DiscreteMeasure, finite_space, uniform_space, draw_sample,
+                     empirical_measure, signed_increment, stream_rng)
 from .kernels import (KernelFunction, FunctionFamily, ExplicitFamily,
                       BoxRestrictionFamily, BudgetExceeded, EpsilonNet,
                       epsilon_net, interval_family, l2_norm,

@@ -24,7 +24,8 @@ from .decomposition import canonicalize
 from .kernels import (INTERVAL_BUDGET, BoxRestrictionFamily, BudgetExceeded,
                       ExplicitFamily, KernelFunction, interval_family,
                       l2_norm, singleton_family)
-from .spaces import ProbabilitySpace, finite_space, stream_rng, uniform_space
+from .spaces import (InvalidArgument, ProbabilitySpace, finite_space,
+                     stream_rng, uniform_space)
 from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
     validate_expansion
 from .experiments import (counterexample_experiment, decoupling_experiment,
@@ -37,12 +38,9 @@ EXPERIMENTS = ("sup_tail", "symmetrization", "decoupling", "counterexample",
                "chaos_audit", "expansion_audit", "schedule_audit")
 
 
-class ConfigError(Exception):
-    """Validation failure; message is a single line naming the field."""
-
-    def __init__(self, field: str, problem: str):
-        super().__init__(f"config error: {field}: {problem}")
-        self.field = field
+class ConfigError(InvalidArgument):
+    """A config field refused by the CLI itself: missing, mistyped,
+    non-finite or against a CLI rule; range rules are the library's."""
 
 
 def _require(cfg: dict, field: str, types, cond=None, problem="invalid value"):
@@ -80,27 +78,24 @@ def _build_family(spec, field: str, space: ProbabilitySpace, k: int):
         raise ConfigError(f"{field}.kind", "missing family kind")
     kind = spec["kind"]
     if kind == "interval":
-        sigma = _require(spec, "sigma", (int, float), lambda v: 0 < v <= 1,
-                         "must lie in (0, 1]")
-        grid = _require(spec, "grid", int, lambda v: v >= 2, "must be >= 2")
+        sigma = _require(spec, "sigma", (int, float))
+        grid = _require(spec, "grid", int)
         if grid != space.m:
             raise ConfigError(f"{field}.grid", "must equal the space point count")
         try:
             return interval_family(float(sigma), grid)
-        except ValueError as e:
-            raise ConfigError(f"{field}.grid", str(e))
+        except InvalidArgument as e:
+            raise ConfigError(f"{field}.{e.name}", e.problem)
     if kind in ("box", "singleton"):
+        table = _require(spec, "table", list)
         try:
-            table = np.asarray(_require(spec, "table", list), dtype=float)
+            table = np.asarray(table, dtype=float)
         except (ValueError, TypeError):
             raise ConfigError(f"{field}.table", "need a rectangular array of numbers")
         try:
             f = KernelFunction(table)
-        except ValueError as e:
-            raise ConfigError(f"{field}.table", str(e))
-    if kind == "box":
-        try:
-            return BoxRestrictionFamily(f, space.m)
+            if kind == "box":
+                return BoxRestrictionFamily(f, space.m)
         except ValueError as e:
             raise ConfigError(f"{field}.table", str(e))
     if kind == "singleton":
@@ -216,25 +211,20 @@ def execute(cfg: dict, workers: int = 1):
     """Run the configured experiment; returns (payload dict, curve rows)."""
     exp = cfg["experiment"]
     seed = _require(cfg, "seed", int, lambda v: v >= 0, "must be >= 0")
+    n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
 
     if exp in ("sup_tail", "symmetrization", "decoupling", "counterexample"):
-        reps = _require(cfg, "reps", int, lambda v: v >= 1, "must be >= 1")
+        reps = _require(cfg, "reps", int)
 
     if exp == "counterexample":
-        sigma = _require(cfg, "sigma", (int, float), lambda v: 0 < v < 1,
-                         "must lie in (0, 1)")
-        n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
-        eps = _require(cfg, "epsilon", (int, float), lambda v: 0 < v < 1,
-                       "must lie in (0, 1)")
+        sigma = _require(cfg, "sigma", (int, float))
+        eps = _require(cfg, "epsilon", (int, float))
         grid = cfg.get("grid")
-        if grid is not None and (not isinstance(grid, int) or grid < 2):
-            raise ConfigError("grid", "must be an integer >= 2")
+        if grid is not None and not isinstance(grid, int):
+            raise ConfigError("grid", "must be an integer")
         consts = _build_constants(cfg, 1)
-        try:
-            res = counterexample_experiment(float(sigma), n, float(eps), reps,
-                                            seed, grid=grid, workers=workers)
-        except ValueError as e:
-            raise ConfigError("sigma", str(e))
+        res = counterexample_experiment(float(sigma), n, float(eps), reps,
+                                        seed, grid=grid, workers=workers)
         rows = overlay_bounds(res.curve, 1, res.sigma, *INTERVAL_BUDGET, n,
                               consts)
         payload = {"x_star": res.x_star, "x_low": res.x_low, "p_low": res.p_low,
@@ -243,7 +233,6 @@ def execute(cfg: dict, workers: int = 1):
         return payload, rows
 
     if exp == "schedule_audit":
-        n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
         k = _require(cfg, "k", int, lambda v: v >= 1, "must be >= 1")
         sigma = _require(cfg, "sigma", (int, float), lambda v: 0 < v <= 1,
                          "must lie in (0, 1]")
@@ -259,13 +248,9 @@ def execute(cfg: dict, workers: int = 1):
         return payload, []
 
     if exp == "expansion_audit":
-        n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
         k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
-        if n < k:
-            raise ConfigError("n", "must be >= k")
         space = _build_space(cfg.get("space"), "space")
-        trials = _require(cfg, "trials", int, lambda v: v >= 3 * (k + 1),
-                          f"must be >= 3*(k+1) = {3 * (k + 1)}")
+        trials = _require(cfg, "trials", int)
         pairs = _require(cfg, "holdout_pairs", int, lambda v: v >= 1, "must be >= 1")
         coeffs = derive_expansion_coefficients(n, k, space, trials, seed)
         worst = validate_expansion(coeffs, space, pairs, seed)
@@ -275,19 +260,18 @@ def execute(cfg: dict, workers: int = 1):
         return payload, []
 
     if exp == "chaos_audit":
-        n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
         k = _require(cfg, "k", int, lambda v: v >= 1, "must be >= 1")
         if n > ENUMERATION_LIMIT:
             raise EnumerationRefused(n)
         spec = cfg.get("coefficients")
         if not isinstance(spec, dict):
             raise ConfigError("coefficients", "expected an object with index_tuples and values")
+        tuples = _require(spec, "index_tuples", list)
+        values = _require(spec, "values", list)
         try:
             coeffs = ChaosCoefficients(
-                n=n, k=k,
-                index_tuples=np.asarray(_require(spec, "index_tuples", list),
-                                        dtype=np.int64),
-                values=np.asarray(_require(spec, "values", list), dtype=float))
+                n=n, k=k, index_tuples=np.asarray(tuples, dtype=np.int64),
+                values=np.asarray(values, dtype=float))
         except ValueError as e:
             raise ConfigError("coefficients", str(e))
         grid = _build_x_grid(cfg.get("x_grid", []), "x_grid")
@@ -303,7 +287,6 @@ def execute(cfg: dict, workers: int = 1):
 
     # sup_tail / symmetrization / decoupling share the space+family plumbing
     k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
-    n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
     space = _build_space(cfg.get("space"), "space")
     family = _build_family(cfg.get("family"), "family", space, k)
     if family.k != k:
@@ -312,8 +295,6 @@ def execute(cfg: dict, workers: int = 1):
 
     if exp == "symmetrization":
         x = _require(cfg, "x", (int, float), lambda v: v >= 0, "must be >= 0")
-        if k != 1:
-            raise ConfigError("k", "symmetrization requires k=1")
         res = symmetrization_experiment(family, space, n, float(x), reps, seed,
                                         workers=workers)
         payload = {"x": res.x, "lhs": res.lhs, "lhs_interval": list(res.lhs_interval),
@@ -328,8 +309,6 @@ def execute(cfg: dict, workers: int = 1):
         kind = cfg.get("statistic", "J")
         if kind not in ("J", "I", "decoupled-I"):
             raise ConfigError("statistic", "must be J, I or decoupled-I")
-        if kind != "J" and n < k:  # J sums over distinct points, not indices
-            raise ConfigError("n", "must be >= k")
         curve = mc_sup_tail(family, space, n, k, kind, grid, reps, seed,
                             workers=workers)
         rows = overlay_bounds(curve, k, family.sigma, family.D, family.L,
@@ -344,10 +323,6 @@ def execute(cfg: dict, workers: int = 1):
         return payload, rows
 
     if exp == "decoupling":
-        if k < 2:
-            raise ConfigError("k", "decoupling requires k >= 2")
-        if n < k:
-            raise ConfigError("n", "must be >= k")
         res = decoupling_experiment(family, space, n, k, grid, reps, seed,
                                     workers=workers)
         rows = overlay_bounds(res.coupled, k, family.sigma, family.D, family.L,
@@ -373,8 +348,8 @@ def run(config_path: str, out_dir: str, workers: int = 1,
         t0 = time.monotonic()
         payload, rows = execute(cfg, workers=workers)
         elapsed = time.monotonic() - t0
-    except ConfigError as e:
-        print(str(e), file=sys.stderr)
+    except InvalidArgument as e:
+        print(f"config error: {e}", file=sys.stderr)
         return 2
     except (ResidualTooLarge, BudgetExceeded, NotApplicable,
             EnumerationRefused) as e:

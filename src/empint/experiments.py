@@ -16,7 +16,8 @@ import numpy as np
 from .chaos import ChaosCoefficients
 from .kernels import ExplicitFamily, FunctionFamily, KernelFunction, \
     interval_family
-from .spaces import ProbabilitySpace, signed_increment, uniform_space
+from .spaces import InvalidArgument, ProbabilitySpace, signed_increment, \
+    uniform_space
 from .statistics import SampleDraw, distinct_weights, draw_bundle, \
     increment_weights
 
@@ -112,8 +113,10 @@ def _sup_block(args):
 
 def _run_blocks(args_template, reps: int, workers: int) -> np.ndarray:
     """_sup_block over `reps` replications split into one block per worker."""
+    if reps < 1:
+        raise InvalidArgument("reps", "must be >= 1")
     blocks = np.array_split(np.arange(reps), max(1, min(workers, reps)))
-    tasks = [args_template + (list(block),) for block in blocks if block.size]
+    tasks = [args_template + (list(block),) for block in blocks]
     if workers <= 1:
         parts = [_sup_block(t) for t in tasks]
     else:
@@ -126,8 +129,6 @@ def mc_sup_tail(family: FunctionFamily, space: ProbabilitySpace, n: int, k: int,
                 statistic_kind: str, x_grid, reps: int, seed: int,
                 workers: int = 1) -> TailCurve:
     """Empirical exceedance curve of sup over the family of |statistic|."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     if family.k != k:
         raise ValueError("family arity does not match k")
     maxima = _run_blocks((family, space, n, k, (statistic_kind,), seed), reps,
@@ -160,7 +161,7 @@ def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
     the sign-randomized side cannot see).
     """
     if family.k != 1:
-        raise ValueError("symmetrization experiment needs a k=1 family")
+        raise InvalidArgument("family", "symmetrization needs a k=1 family")
     F = _member_matrix(family)
     centered = ExplicitFamily([KernelFunction(row) for row in
                               F - (F @ space.weights)[:, None]],
@@ -200,7 +201,7 @@ def decoupling_experiment(family: FunctionFamily, space: ProbabilitySpace,
     Report-only: the universal decoupling constants are not published, so no
     inequality is asserted here."""
     if k < 2:
-        raise ValueError("decoupling is vacuous at k=1")
+        raise InvalidArgument("k", "decoupling requires k >= 2")
     both = _run_blocks((family, space, n, k, ("I", "decoupled-I"), seed), reps,
                        workers)
     coupled = TailCurve.from_maxima(both[:, 0], x_grid)
@@ -235,13 +236,15 @@ def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
 
     The sharpness signature at small sigma is p_low >> p_high."""
     if not 0 < epsilon < 1:
-        raise ValueError("epsilon must lie in (0, 1)")
+        raise InvalidArgument("epsilon", "must lie in (0, 1)")
+    if not 0 < sigma < 1:
+        raise InvalidArgument("sigma", "must lie in (0, 1)")
+    if n * sigma ** 2 < 8:
+        raise InvalidArgument("n", "n*sigma^2 must be >= 8")
     if grid is None:
         grid = 2 * int(np.ceil(1.0 / sigma ** 2))
     family = interval_family(sigma, grid)
     space = uniform_space(grid)
-    if n * sigma ** 2 < 8:
-        raise ValueError("n sigma^2 too small for non-degenerate increments")
     sups = _run_blocks((family, space, n, 1, ("increment",), seed), reps,
                        workers)[:, 0] * sqrt(n)
     x_star = sqrt(2.0 * log(1.0 / sigma)) * sigma

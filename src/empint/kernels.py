@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import DiscreteMeasure, ProbabilitySpace
+from .spaces import InvalidArgument, ProbabilitySpace
 
 
 class BudgetExceeded(Exception):
@@ -81,20 +81,15 @@ def l2_norm(f: KernelFunction, space: ProbabilitySpace) -> float:
 def product_weights(nu, k: int, m: int) -> np.ndarray:
     """Flattened k-fold product of a base-space probability vector.
 
-    Accepts a ProbabilitySpace or a (nonnegative, mass-1) DiscreteMeasure.
+    nu is a ProbabilitySpace, a DiscreteMeasure or an array of m weights;
+    each must be finite, >= -1e-15 and sum to 1 within 1e-9.
     """
-    if isinstance(nu, ProbabilitySpace):
-        w = nu.weights
-    elif isinstance(nu, DiscreteMeasure):
-        w = nu.weights
-        if np.any(w < -1e-15) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("nu must be a probability measure")
-        w = np.clip(w, 0.0, None)
-    else:
-        w = np.asarray(nu, dtype=float)
+    w = np.asarray(getattr(nu, "weights", nu), dtype=float)
     if w.size != m:
         raise ValueError("nu size does not match the family's space")
-    out = w
+    if not np.all(np.isfinite(w)) or np.any(w < -1e-15) or abs(w.sum() - 1) > 1e-9:
+        raise ValueError("nu must be a probability measure")
+    out = w = np.clip(w, 0.0, None)
     for _ in range(k - 1):
         out = np.multiply.outer(out, w)
     return out.ravel()
@@ -206,12 +201,11 @@ def interval_family(sigma: float, grid: int) -> ExplicitFamily:
     sigma**2 whenever the grid resolves them.
     """
     if not 0 < sigma <= 1:
-        raise ValueError("sigma must lie in (0, 1]")
-    if grid < int(np.ceil(1.0 / sigma ** 2)):
-        raise ValueError("grid too coarse to represent length-sigma^2 intervals")
+        raise InvalidArgument("sigma", "must lie in (0, 1]")
     max_cells = int(np.floor(sigma ** 2 * grid + 1e-9))
-    if max_cells < 1:
-        raise ValueError("grid too coarse to represent length-sigma^2 intervals")
+    if grid < int(np.ceil(1.0 / sigma ** 2)) or max_cells < 1:
+        raise InvalidArgument("grid", "too coarse to represent length-sigma^2 "
+                                      "intervals")
     kernels = []
     for length in range(1, max_cells + 1):
         for start in range(0, grid - length + 1):
@@ -233,7 +227,7 @@ class BoxRestrictionFamily(FunctionFamily):
     def __init__(self, f: KernelFunction, grid_per_axis: int):
         if sup_norm(f) > 1 + 1e-12:
             raise ValueError("base kernel must satisfy |f| <= 1")
-        if f.m != grid_per_axis:
+        if f.table.shape != (grid_per_axis,) * f.k:
             raise ValueError("base kernel is not tabulated on the stated grid")
         k = f.k
         super().__init__(k, f.m, D=float(2 ** (k * (k + 1))), L=float(2 * k))

@@ -14,6 +14,18 @@ import numpy as np
 WEIGHT_TOL = 1e-12
 
 
+class InvalidArgument(ValueError):
+    """An argument outside the range its function accepts, with its `name`;
+    the args are (name, problem), so unpickling rebuilds it."""
+
+    def __init__(self, name: str, problem: str):
+        super().__init__(name, problem)
+        self.name, self.problem = name, problem
+
+    def __str__(self):
+        return f"{self.name}: {self.problem}"
+
+
 @dataclass(frozen=True)
 class ProbabilitySpace:
     """Finite support points 0..m-1 with probability weights."""
@@ -26,6 +38,8 @@ class ProbabilitySpace:
         w.setflags(write=False)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("negative weight")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
@@ -109,16 +123,13 @@ class DiscreteMeasure:
 
 
 def finite_space(weights) -> ProbabilitySpace:
-    """Normalize a nonnegative weight vector into a ProbabilitySpace."""
+    """Normalize a finite nonnegative weight vector into a ProbabilitySpace."""
     w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise ValueError("empty weight vector")
-    if np.any(w < 0):
-        raise ValueError("negative weight")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("all-zero weight vector")
-    return ProbabilitySpace(w / total)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0) or not w.sum() > 0:
+        raise ValueError("weights must be >= 0 and not all zero")
+    return ProbabilitySpace(w / w.sum())
 
 
 def uniform_space(m: int) -> ProbabilitySpace:

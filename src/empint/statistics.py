@@ -19,11 +19,11 @@ import numpy as np
 
 from .decomposition import all_subsets, hoeffding_decompose
 from .kernels import KernelFunction, _check_shape, offdiag_mask
-from .spaces import ProbabilitySpace, Sample, draw_sample, signed_increment, \
-    stream_rng
+from .spaces import InvalidArgument, ProbabilitySpace, Sample, draw_sample, \
+    signed_increment, stream_rng
 
 
-class DegenerateSample(Exception):
+class DegenerateSample(InvalidArgument):
     """Raised when a U-statistic of order k is requested with n < k."""
 
 
@@ -161,7 +161,7 @@ def distinct_weights(cols, m: int, signs=None) -> np.ndarray:
     k = len(cols)
     n = len(cols[0])
     if n < k:
-        raise DegenerateSample(f"n={n} < k={k}")
+        raise DegenerateSample("n", "must be >= k")
     counts = {}
     w = np.zeros((m,) * k)
     for blocks, mobius in _partitions(k):
@@ -282,10 +282,8 @@ def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
     """Solve for the coefficients C(n,k,r) by least squares over random
     (kernel, sample) pairs; the residual doubles as an integration test of
     J, the U-statistics and the decomposition."""
-    if n < k:
-        raise DegenerateSample(f"n={n} < k={k}")
     if trials < 3 * (k + 1):
-        raise ValueError("trials must be at least 3*(k+1)")
+        raise InvalidArgument("trials", f"must be >= 3*(k+1) = {3 * (k + 1)}")
     rows, targets = _expansion_pairs(space, n, k, trials, seed, 0)
     coeffs, _, rank, _ = np.linalg.lstsq(rows, targets, rcond=None)
     if rank < k + 1:
@@ -310,11 +308,12 @@ def validate_expansion(coeffs: ExpansionCoefficients, space: ProbabilitySpace,
                        pairs: int, seed: int) -> float:
     """Max relative disagreement between J and its expansion on fresh
     random (kernel, sample) pairs, drawn from streams the fit never opens."""
+    if pairs < 1:
+        raise InvalidArgument("pairs", "must be >= 1")
     rows, direct = _expansion_pairs(space, coeffs.n, coeffs.k, pairs, seed,
                                     HOLDOUT_STREAMS)
     via = np.array([row @ coeffs.values for row in rows])
-    return float(np.max(np.abs(direct - via) / np.maximum(np.abs(direct), 1e-12),
-                        initial=0.0))
+    return float(np.max(np.abs(direct - via) / np.maximum(np.abs(direct), 1e-12)))
 
 
 # ---------------------------------------------------------------------------

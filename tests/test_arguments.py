@@ -1,0 +1,67 @@
+"""Each range rule is checked once, by the library function that uses the
+parameter, and the refusal names that parameter."""
+import pickle
+
+import numpy as np
+import pytest
+
+from empint import InvalidArgument
+from empint.cli import ConfigError
+from empint.experiments import (counterexample_experiment,
+                                decoupling_experiment, mc_sup_tail,
+                                symmetrization_experiment)
+from empint.kernels import KernelFunction, interval_family, singleton_family
+from empint.spaces import uniform_space
+from empint.statistics import (DegenerateSample, derive_expansion_coefficients,
+                               distinct_weights, validate_expansion)
+
+SP = uniform_space(4)
+K1 = interval_family(0.5, 4)
+K2 = singleton_family(KernelFunction(np.eye(4) * 0.5))
+
+REFUSALS = {
+    "distinct_weights-n": ("n", lambda: distinct_weights([np.zeros(1, int)] * 2, 4)),
+    "expansion-n": ("n", lambda: derive_expansion_coefficients(2, 3, SP, 20, 0)),
+    "expansion-trials": ("trials", lambda: derive_expansion_coefficients(5, 2, SP, 8, 0)),
+    "holdout-pairs": ("pairs", lambda: validate_expansion(
+        derive_expansion_coefficients(5, 1, SP, 6, 0), SP, 0, 0)),
+    "symmetrization-family": ("family", lambda: symmetrization_experiment(
+        K2, SP, 16, 0.5, 10, 0)),
+    "decoupling-k": ("k", lambda: decoupling_experiment(K1, SP, 16, 1, [0.5], 10, 0)),
+    "counterexample-epsilon": ("epsilon", lambda: counterexample_experiment(
+        0.3, 500, 1.0, 10, 0)),
+    "counterexample-sigma": ("sigma", lambda: counterexample_experiment(
+        1.0, 500, 0.5, 10, 0)),
+    "counterexample-n": ("n", lambda: counterexample_experiment(0.5, 20, 0.5, 10, 0)),
+    "counterexample-grid": ("grid", lambda: counterexample_experiment(
+        0.3, 500, 0.5, 10, 0, grid=2)),
+    "interval-sigma": ("sigma", lambda: interval_family(1.5, 4)),
+    "interval-grid": ("grid", lambda: interval_family(0.3, 8)),
+    "mc_sup_tail-reps": ("reps", lambda: mc_sup_tail(K1, SP, 16, 1, "J", [0.5], 0, 0)),
+    "symmetrization-reps": ("reps", lambda: symmetrization_experiment(
+        K1, SP, 16, 0.5, 0, 0)),
+    "decoupling-reps": ("reps", lambda: decoupling_experiment(
+        K2, SP, 16, 2, [0.5], 0, 0)),
+    "counterexample-reps": ("reps", lambda: counterexample_experiment(
+        0.3, 500, 0.5, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name, call", REFUSALS.values(), ids=REFUSALS.keys())
+def test_library_refusal_names_its_argument(name, call):
+    with pytest.raises(InvalidArgument) as e:
+        call()
+    assert e.value.name == name
+    assert str(e.value).startswith(f"{name}: ")
+
+
+@pytest.mark.parametrize("exc", [
+    InvalidArgument("reps", "must be >= 1"),
+    ConfigError("space.weights", "weights must be finite"),
+    DegenerateSample("n", "must be >= k")], ids=lambda e: type(e).__name__)
+def test_refusal_survives_pickle(exc):
+    # a refusal raised in a worker process reaches the parent by pickle
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert (back.name, back.problem, str(back)) == (exc.name, exc.problem, str(exc))
+    assert isinstance(back, ValueError)

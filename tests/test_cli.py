@@ -469,3 +469,62 @@ def test_non_finite_scalar_field_exits_2(tmp_path, capsys, field, value):
     assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert not (tmp_path / "out").exists()
+
+
+# --- range rules are the library's; the CLI names the refused field --------
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_space_weights_exit_2(tmp_path, capsys, bad):
+    cfg = _base_cfg(space={"weights": [bad, 1, 1, 1]},
+                    family={"kind": "singleton", "table": [1.0, -1.0, 0.5, -0.5]},
+                    x_grid=[0.0, 100.0])
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: space.weights: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_box_table_of_wrong_shape_exits_2(tmp_path, capsys):
+    cfg = _base_cfg(k=2, statistic="I", space={"points": 4, "weights": "uniform"},
+                    family={"kind": "box", "table": np.full((4, 3), 0.5).tolist()},
+                    x_grid=[0.0, 0.5])
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: family.table: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"grid": 2}, "grid"), ({"n": 20, "sigma": 0.5}, "n"),
+    ({"sigma": 1.0}, "sigma"), ({"epsilon": 1.5}, "epsilon"), ({"reps": 0}, "reps")],
+    ids=["grid", "n", "sigma", "epsilon", "reps"])
+def test_counterexample_refusal_names_its_field(tmp_path, capsys, over, field):
+    cfg = dict(_COUNTEREXAMPLE, **over)
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family, field", [
+    ({"kind": "interval", "sigma": 1.5, "grid": 8}, "family.sigma"),
+    ({"kind": "interval", "sigma": 0.3, "grid": 8}, "family.grid")])
+def test_interval_family_refusal_names_its_field(tmp_path, capsys, family, field):
+    assert run(_write(tmp_path, _base_cfg(family=family)), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_fewer_points_than_k_in_a_worker_exits_2(tmp_path, capsys):
+    cfg = _base_cfg(n=1, k=2, statistic="I", space={"points": 3, "weights": "uniform"},
+                    family={"kind": "singleton", "table": np.ones((3, 3)).tolist()})
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--workers", "2"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: n: must be >= k"]
+    assert not out.exists()
+
+
+def test_symmetrization_k2_with_k1_family_exits_2(tmp_path, capsys):
+    # symmetrization_experiment takes no k, so the CLI's arity check is what
+    # keeps a k=1 run from being overlaid with k=2 bounds
+    cfg = _base_cfg(experiment="symmetrization", k=2, x=0.5)
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: family: ")
+    assert not (tmp_path / "out").exists()

@@ -10,7 +10,7 @@ from empint.kernels import (BoxRestrictionFamily, BudgetExceeded,
                             ExplicitFamily, KernelFunction, epsilon_net,
                             interval_family, l2_norm, offdiag_mask,
                             product_weights, singleton_family, sup_norm)
-from empint.spaces import finite_space, stream_rng, uniform_space
+from empint.spaces import DiscreteMeasure, finite_space, stream_rng, uniform_space
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -372,3 +372,27 @@ def test_offdiag_mask_is_cached_and_read_only():
     assert not mask.flags.writeable
     with pytest.raises(ValueError):
         mask[0, 1, 2] = False
+
+
+def test_box_family_rejects_table_of_wrong_shape():
+    # only the first axis matched before; the rest failed in a broadcast
+    with pytest.raises(ValueError, match="grid"):
+        BoxRestrictionFamily(KernelFunction(np.full((4, 3), 0.5)), 4)
+
+
+@pytest.mark.parametrize("nu", [
+    [2.0, -1.0, 0.0, 0.0], [0.1] * 4, [np.nan, 0.5, 0.25, 0.25],
+    [np.inf, 0.0, 0.0, 0.0], [0.5, 0.5]],
+    ids=["negative", "mass-0.4", "nan", "inf", "size"])
+def test_product_weights_validates_plain_arrays(nu):
+    with pytest.raises(ValueError):
+        product_weights(np.array(nu), 1, 4)
+    with pytest.raises(ValueError):
+        epsilon_net(interval_family(0.5, 4), np.array(nu), 0.5)
+
+
+def test_product_weights_reads_every_input_alike():
+    sp = finite_space([0.5, 0.25, 0.25, 0.0])
+    want = product_weights(sp, 2, 4)
+    for nu in (sp.weights, list(sp.weights), DiscreteMeasure(sp.weights)):
+        np.testing.assert_array_equal(product_weights(nu, 2, 4), want)

@@ -219,3 +219,12 @@ def test_uniform_draws_unchanged_by_the_guide_table():
         expected = np.minimum(np.searchsorted(sp.cumulative, u, side="right"), m - 1)
         assert np.array_equal(draw_sample(sp, 10_000, seed=3, stream_id=m).values,
                               expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected(bad):
+    # a NaN weight used to pass the sum check, since NaN compares false
+    with pytest.raises(ValueError, match="finite"):
+        ProbabilitySpace(np.array([bad, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        finite_space([bad, 1.0, 1.0, 1.0])
