@@ -13,6 +13,8 @@ from numbers import Real
 
 import numpy as np
 
+from .spaces import InvalidArgument
+
 
 class NotApplicable(Exception):
     """Hypothesis of the schedule construction violated."""
@@ -134,10 +136,12 @@ def chaining_schedule(n: int, k: int, sigma: float, x: float, A_bar: float,
 
     and emit sigma_bar^2 = 16^{-R} sigma^2 with the per-level net sizes
     m_p = floor(D 4^{pL} sigma^{-L})."""
+    if not 0 < sigma <= 1:
+        raise InvalidArgument("sigma", "must lie in (0, 1]")
+    if not x > 0:
+        raise InvalidArgument("x", "must be > 0")
     if A_bar < 2 ** k:
         raise NotApplicable("A_bar must be >= 2^k")
-    if not 0 < sigma <= 1 or x <= 0:
-        raise NotApplicable("need 0 < sigma <= 1 and x > 0")
     base = (x / (A_bar * sigma)) ** (2.0 / k)
     target = n * sigma ** 2 / 2 ** (2.0 - 2.0 / k)
     if n * sigma ** 2 < (x / sigma) ** (2.0 / k):

@@ -36,7 +36,10 @@ class ChaosCoefficients:
     values: np.ndarray  # (T,)
 
     def __post_init__(self):
-        idx = np.asarray(self.index_tuples, dtype=np.int64).reshape(-1, self.k)
+        idx = np.asarray(self.index_tuples)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError("index tuples must hold integers")
+        idx = idx.astype(np.int64).reshape(-1, self.k)
         vals = np.asarray(self.values, dtype=float).ravel()
         if idx.shape[0] != vals.size:
             raise ValueError("index/value length mismatch")

@@ -8,6 +8,7 @@ error, 3 numerical-check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -22,8 +23,8 @@ from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
                     optimal_q_tail)
 from .decomposition import canonicalize
 from .kernels import (INTERVAL_BUDGET, BoxRestrictionFamily, BudgetExceeded,
-                      ExplicitFamily, KernelFunction, interval_family,
-                      l2_norm, singleton_family)
+                      ExplicitFamily, KernelFunction, _check_shape,
+                      interval_family, l2_norm, singleton_family)
 from .spaces import (InvalidArgument, ProbabilitySpace, finite_space,
                      stream_rng, uniform_space)
 from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
@@ -39,112 +40,108 @@ EXPERIMENTS = ("sup_tail", "symmetrization", "decoupling", "counterexample",
 
 
 class ConfigError(InvalidArgument):
-    """A config field refused by the CLI itself: missing, mistyped,
-    non-finite or against a CLI rule; range rules are the library's."""
+    """A config field refused under its dotted path: missing, mistyped,
+    non-finite, against a CLI rule, or refused by the library."""
 
 
-def _require(cfg: dict, field: str, types, cond=None, problem="invalid value"):
-    if field not in cfg:
-        raise ConfigError(field, "missing required field")
-    v = cfg[field]
+REQUIRED = object()
+# seeds key Philox streams, whose keys are 64-bit words
+SEED_RULE = (lambda v: 0 <= v < 2 ** 64, "must lie in [0, 2^64)")
+
+
+def _require(cfg: dict, path: str, types, cond=None, problem="invalid value",
+             default=REQUIRED):
+    """cfg[last part of the dotted `path`], or `default` if it is absent."""
+    key = path.rsplit(".", 1)[-1]
+    if key not in cfg:
+        if default is REQUIRED:
+            raise ConfigError(path, "missing required field")
+        return default
+    v = cfg[key]
     if not isinstance(v, types) or isinstance(v, bool):
-        raise ConfigError(field, f"expected {types}")
+        names = types if isinstance(types, tuple) else (types,)
+        raise ConfigError(path, "expected " + " or ".join(
+            {dict: "object"}.get(t, t.__name__) for t in names))
     if isinstance(v, float) and not np.isfinite(v):
-        raise ConfigError(field, "must be finite")
+        raise ConfigError(path, "must be finite")
     if cond is not None and not cond(v):
-        raise ConfigError(field, problem)
+        raise ConfigError(path, problem)
     return v
 
 
-def _build_space(spec, field: str) -> ProbabilitySpace:
-    if not isinstance(spec, dict):
-        raise ConfigError(field, "expected an object")
-    points = spec.get("points")
-    weights = spec.get("weights", "uniform")
-    if weights == "uniform":
-        if not isinstance(points, int) or points < 2:
-            raise ConfigError(f"{field}.points", "need an integer >= 2")
-        return uniform_space(points)
-    if not isinstance(weights, list) or len(weights) < 2:
-        raise ConfigError(f"{field}.weights", "need \"uniform\" or a list of >= 2 weights")
+@contextlib.contextmanager
+def _section(path: str):
+    """Name a refusal met while building section `path`: a library argument
+    as `path.name`, any other ValueError, TypeError or OverflowError as `path`."""
     try:
+        yield
+    except ConfigError:
+        raise
+    except InvalidArgument as e:
+        raise ConfigError(f"{path}.{e.name}", e.problem) from None
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ConfigError(path, str(e)) from None
+
+
+def _build_space(spec, field: str) -> ProbabilitySpace:
+    weights = _require(spec, f"{field}.weights", (str, list), default="uniform")
+    if weights == "uniform":
+        points = _require(spec, f"{field}.points", int)
+        with _section(f"{field}.points"):
+            return uniform_space(points)
+    with _section(f"{field}.weights"):
         return finite_space(np.asarray(weights, dtype=float))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{field}.weights", str(e))
 
 
 def _build_family(spec, field: str, space: ProbabilitySpace, k: int):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{field}.kind", "missing family kind")
-    kind = spec["kind"]
-    if kind == "interval":
-        sigma = _require(spec, "sigma", (int, float))
-        grid = _require(spec, "grid", int)
-        if grid != space.m:
-            raise ConfigError(f"{field}.grid", "must equal the space point count")
-        try:
+    kind = _require(spec, f"{field}.kind", str)
+    with _section(field):
+        if kind == "interval":
+            sigma = _require(spec, f"{field}.sigma", (int, float))
+            grid = _require(spec, f"{field}.grid", int, lambda v: v == space.m,
+                            "must equal the space point count")
             return interval_family(float(sigma), grid)
-        except InvalidArgument as e:
-            raise ConfigError(f"{field}.{e.name}", e.problem)
-    if kind in ("box", "singleton"):
-        table = _require(spec, "table", list)
-        try:
-            table = np.asarray(table, dtype=float)
-        except (ValueError, TypeError):
-            raise ConfigError(f"{field}.table", "need a rectangular array of numbers")
-        try:
-            f = KernelFunction(table)
-            if kind == "box":
-                return BoxRestrictionFamily(f, space.m)
-        except ValueError as e:
-            raise ConfigError(f"{field}.table", str(e))
-    if kind == "singleton":
-        if f.table.shape != (space.m,) * f.k:
-            raise ConfigError(f"{field}.table", "shape does not match the space")
-        sigma = _require(spec, "sigma", (int, float), lambda v: 0 < v <= 1,
-                         "must lie in (0, 1]") if "sigma" in spec else 1.0
-        return singleton_family(f, sigma=float(sigma))
-    if kind == "random-canonical":
-        count = _require(spec, "count", int, lambda v: v >= 1, "must be >= 1")
-        kseed = _require(spec, "kernel_seed", int)
-        rng = stream_rng(kseed, 0)
-        kernels = []
-        for _ in range(count):
-            raw = KernelFunction(rng.standard_normal((space.m,) * k))
-            kernels.append(canonicalize(raw, space))
-        sigma = max(l2_norm(f, space) for f in kernels)
-        if sigma > 1:
-            # scale every member so sigma <= 1 holds; the 1e-12 slack keeps
-            # the rescaled norms from rounding above 1
-            kernels = [KernelFunction(f.table / (sigma * (1 + 1e-12)))
-                       for f in kernels]
+        if kind in ("box", "singleton"):
+            table = _require(spec, f"{field}.table", list)
+            with _section(f"{field}.table"):
+                f = KernelFunction(np.asarray(table, dtype=float))
+                if kind == "box":
+                    return BoxRestrictionFamily(f, space.m)
+                _check_shape(f, space)
+            sigma = _require(spec, f"{field}.sigma", (int, float), default=1.0)
+            return singleton_family(f, sigma=float(sigma))
+        if kind == "random-canonical":
+            count = _require(spec, f"{field}.count", int, lambda v: v >= 1,
+                             "must be >= 1")
+            kseed = _require(spec, f"{field}.kernel_seed", int, *SEED_RULE)
+            rng = stream_rng(kseed, 0)
+            kernels = []
+            for _ in range(count):
+                raw = KernelFunction(rng.standard_normal((space.m,) * k))
+                kernels.append(canonicalize(raw, space))
             sigma = max(l2_norm(f, space) for f in kernels)
-        return ExplicitFamily(kernels, D=float(count), L=1.0, sigma=sigma)
+            if sigma > 1:
+                # scale every member so sigma <= 1 holds; the 1e-12 slack
+                # keeps the rescaled norms from rounding above 1
+                kernels = [KernelFunction(f.table / (sigma * (1 + 1e-12)))
+                           for f in kernels]
+                sigma = max(l2_norm(f, space) for f in kernels)
+            return ExplicitFamily(kernels, D=float(count), L=1.0, sigma=sigma)
     raise ConfigError(f"{field}.kind", f"unknown family kind {kind!r}")
 
 
-def _build_constants(cfg: dict, k: int) -> BoundConstants:
-    try:
-        return BoundConstants.from_dict(k, cfg.get("constants"))
-    except (ValueError, OverflowError) as e:
-        raise ConfigError("constants", str(e))
-
-
 def _build_x_grid(spec, field: str) -> np.ndarray:
-    if isinstance(spec, list):
+    with _section(field):
+        if isinstance(spec, dict):
+            start = _require(spec, f"{field}.start", (int, float))
+            stop = _require(spec, f"{field}.stop", (int, float))
+            points = _require(spec, f"{field}.points", int)
+            spec = np.linspace(float(start), float(stop), points)
         grid = np.asarray(spec, dtype=float)
-    elif isinstance(spec, dict):
-        start = _require(spec, "start", (int, float))
-        stop = _require(spec, "stop", (int, float), lambda v: v >= start,
-                        "stop must be >= start")
-        points = _require(spec, "points", int, lambda v: v >= 1, "must be >= 1")
-        grid = np.linspace(float(start), float(stop), points)
-    else:
-        raise ConfigError(field, "expected a list or {start, stop, points}")
-    if not np.all(np.isfinite(grid)) or np.any(grid < 0):
-        raise ConfigError(field, "every x must be finite and >= 0")
-    if grid.size and np.any(np.diff(grid) <= 0):
-        raise ConfigError(field, "must be strictly increasing")
+    if (grid.ndim != 1 or not np.all(np.isfinite(grid)) or np.any(grid < 0)
+            or np.any(np.diff(grid) <= 0)):
+        raise ConfigError(field, "must be a strictly increasing flat list of "
+                                 "finite x >= 0")
     return grid
 
 
@@ -158,8 +155,8 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
-    if cfg.get("experiment") not in EXPERIMENTS:
-        raise ConfigError("experiment", f"must be one of {EXPERIMENTS}")
+    _require(cfg, "experiment", str, lambda v: v in EXPERIMENTS,
+             f"must be one of {EXPERIMENTS}")
     return cfg
 
 
@@ -210,7 +207,7 @@ def _family_payload(family):
 def execute(cfg: dict, workers: int = 1):
     """Run the configured experiment; returns (payload dict, curve rows)."""
     exp = cfg["experiment"]
-    seed = _require(cfg, "seed", int, lambda v: v >= 0, "must be >= 0")
+    seed = _require(cfg, "seed", int, *SEED_RULE)
     n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
 
     if exp in ("sup_tail", "symmetrization", "decoupling", "counterexample"):
@@ -219,10 +216,9 @@ def execute(cfg: dict, workers: int = 1):
     if exp == "counterexample":
         sigma = _require(cfg, "sigma", (int, float))
         eps = _require(cfg, "epsilon", (int, float))
-        grid = cfg.get("grid")
-        if grid is not None and not isinstance(grid, int):
-            raise ConfigError("grid", "must be an integer")
-        consts = _build_constants(cfg, 1)
+        grid = _require(cfg, "grid", int, default=None)
+        with _section("constants"):
+            consts = BoundConstants.from_dict(1, cfg.get("constants"))
         res = counterexample_experiment(float(sigma), n, float(eps), reps,
                                         seed, grid=grid, workers=workers)
         rows = overlay_bounds(res.curve, 1, res.sigma, *INTERVAL_BUDGET, n,
@@ -234,9 +230,8 @@ def execute(cfg: dict, workers: int = 1):
 
     if exp == "schedule_audit":
         k = _require(cfg, "k", int, lambda v: v >= 1, "must be >= 1")
-        sigma = _require(cfg, "sigma", (int, float), lambda v: 0 < v <= 1,
-                         "must lie in (0, 1]")
-        x = _require(cfg, "x", (int, float), lambda v: v > 0, "must be > 0")
+        sigma = _require(cfg, "sigma", (int, float))
+        x = _require(cfg, "x", (int, float))
         A_bar = _require(cfg, "A_bar", (int, float))
         D = _require(cfg, "D", (int, float), lambda v: v > 0, "must be > 0")
         L = _require(cfg, "L", (int, float), lambda v: v > 0, "must be > 0")
@@ -249,7 +244,7 @@ def execute(cfg: dict, workers: int = 1):
 
     if exp == "expansion_audit":
         k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
-        space = _build_space(cfg.get("space"), "space")
+        space = _build_space(_require(cfg, "space", dict), "space")
         trials = _require(cfg, "trials", int)
         pairs = _require(cfg, "holdout_pairs", int, lambda v: v >= 1, "must be >= 1")
         coeffs = derive_expansion_coefficients(n, k, space, trials, seed)
@@ -263,18 +258,14 @@ def execute(cfg: dict, workers: int = 1):
         k = _require(cfg, "k", int, lambda v: v >= 1, "must be >= 1")
         if n > ENUMERATION_LIMIT:
             raise EnumerationRefused(n)
-        spec = cfg.get("coefficients")
-        if not isinstance(spec, dict):
-            raise ConfigError("coefficients", "expected an object with index_tuples and values")
-        tuples = _require(spec, "index_tuples", list)
-        values = _require(spec, "values", list)
-        try:
-            coeffs = ChaosCoefficients(
-                n=n, k=k, index_tuples=np.asarray(tuples, dtype=np.int64),
-                values=np.asarray(values, dtype=float))
-        except ValueError as e:
-            raise ConfigError("coefficients", str(e))
-        grid = _build_x_grid(cfg.get("x_grid", []), "x_grid")
+        spec = _require(cfg, "coefficients", dict)
+        tuples = _require(spec, "coefficients.index_tuples", list)
+        values = _require(spec, "coefficients.values", list)
+        with _section("coefficients"):
+            coeffs = ChaosCoefficients(n=n, k=k, index_tuples=np.asarray(tuples),
+                                       values=np.asarray(values, dtype=float))
+        grid = _build_x_grid(_require(cfg, "x_grid", (list, dict), default=[]),
+                             "x_grid")
         S = chaos_s(coeffs)
         rows = []
         for x, p in zip(grid.tolist(), exact_chaos_tail(coeffs, grid).tolist()):
@@ -287,11 +278,12 @@ def execute(cfg: dict, workers: int = 1):
 
     # sup_tail / symmetrization / decoupling share the space+family plumbing
     k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
-    space = _build_space(cfg.get("space"), "space")
-    family = _build_family(cfg.get("family"), "family", space, k)
+    space = _build_space(_require(cfg, "space", dict), "space")
+    family = _build_family(_require(cfg, "family", dict), "family", space, k)
     if family.k != k:
         raise ConfigError("family", f"member arity {family.k} does not match k={k}")
-    consts = _build_constants(cfg, k)
+    with _section("constants"):
+        consts = BoundConstants.from_dict(k, cfg.get("constants"))
 
     if exp == "symmetrization":
         x = _require(cfg, "x", (int, float), lambda v: v >= 0, "must be >= 0")
@@ -304,11 +296,10 @@ def execute(cfg: dict, workers: int = 1):
                               family.beta, n, consts)
         return payload, rows
 
-    grid = _build_x_grid(cfg.get("x_grid"), "x_grid")
+    grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
     if exp == "sup_tail":
-        kind = cfg.get("statistic", "J")
-        if kind not in ("J", "I", "decoupled-I"):
-            raise ConfigError("statistic", "must be J, I or decoupled-I")
+        kind = _require(cfg, "statistic", str, lambda v: v in ("J", "I", "decoupled-I"),
+                        "must be J, I or decoupled-I", default="J")
         curve = mc_sup_tail(family, space, n, k, kind, grid, reps, seed,
                             workers=workers)
         rows = overlay_bounds(curve, k, family.sigma, family.D, family.L,
@@ -382,13 +373,11 @@ def main(argv=None) -> int:
     runp.add_argument("--format", choices=("table", "report", "both"),
                       default="both")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        if args.workers < 1:
-            print("config error: workers: must be >= 1", file=sys.stderr)
-            return 2
-        return run(args.config, args.out, workers=args.workers,
-                   seed_override=args.seed, fmt=args.format)
-    return 2
+    if args.workers < 1:
+        print("config error: workers: must be >= 1", file=sys.stderr)
+        return 2
+    return run(args.config, args.out, workers=args.workers,
+               seed_override=args.seed, fmt=args.format)
 
 
 if __name__ == "__main__":

@@ -186,6 +186,8 @@ class ExplicitFamily(FunctionFamily):
 
 
 def singleton_family(f: KernelFunction, sigma: float = 1.0) -> ExplicitFamily:
+    if not 0 < sigma <= 1:
+        raise InvalidArgument("sigma", "must lie in (0, 1]")
     return ExplicitFamily([f], D=1.0, L=1.0, sigma=sigma)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from empint import InvalidArgument
+from empint.bounds import chaining_schedule
 from empint.cli import ConfigError
 from empint.experiments import (counterexample_experiment,
                                 decoupling_experiment, mc_sup_tail,
@@ -36,6 +37,11 @@ REFUSALS = {
     "counterexample-grid": ("grid", lambda: counterexample_experiment(
         0.3, 500, 0.5, 10, 0, grid=2)),
     "interval-sigma": ("sigma", lambda: interval_family(1.5, 4)),
+    "singleton-sigma": ("sigma", lambda: singleton_family(
+        KernelFunction(np.eye(4) * 0.5), sigma=2.0)),
+    "schedule-sigma": ("sigma", lambda: chaining_schedule(
+        4096, 1, 1.5, 2.0, 2.0, 4.0, 2.0)),
+    "schedule-x": ("x", lambda: chaining_schedule(4096, 1, 0.5, 0.0, 2.0, 4.0, 2.0)),
     "interval-grid": ("grid", lambda: interval_family(0.3, 8)),
     "mc_sup_tail-reps": ("reps", lambda: mc_sup_tail(K1, SP, 16, 1, "J", [0.5], 0, 0)),
     "symmetrization-reps": ("reps", lambda: symmetrization_experiment(

@@ -74,6 +74,15 @@ def test_rejects_repeated_index_tuples():
             _coeffs(4, 2, idx, [1.0] * len(idx))
 
 
+def test_rejects_fractional_index_tuples():
+    # a cast to int would truncate [0.5, 1.9] to the tuple (0, 1) of another chaos
+    with pytest.raises(ValueError, match="index tuples must hold integers"):
+        ChaosCoefficients(n=4, k=2, index_tuples=[[0.5, 1.9], [2, 3]], values=[1, 2])
+    empty = ChaosCoefficients(n=4, k=2, index_tuples=[], values=[])
+    assert empty.index_tuples.shape == (0, 2)
+    assert empty.index_tuples.dtype == np.int64
+
+
 def test_chaos_audit_repeated_tuple_exits_2(tmp_path, capsys):
     """A tuple listed twice would undercount S and overlay a wrong bound."""
     cfg = {"experiment": "chaos_audit", "seed": 0, "n": 4, "k": 2,

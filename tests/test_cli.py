@@ -434,7 +434,7 @@ def test_singleton_sigma_out_of_range_exits_2(tmp_path, capsys, sigma):
     cfg = _base_cfg(family={"kind": "singleton", "table": [0.1] * 8,
                             "sigma": sigma})
     assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
-    assert capsys.readouterr().err.startswith("config error: sigma: ")
+    assert capsys.readouterr().err.startswith("config error: family.sigma: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -527,4 +527,81 @@ def test_symmetrization_k2_with_k1_family_exits_2(tmp_path, capsys):
     cfg = _base_cfg(experiment="symmetrization", k=2, x=0.5)
     assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.startswith("config error: family: ")
+    assert not (tmp_path / "out").exists()
+
+
+# --- every field is named by its dotted path, and no config escapes --------
+
+@pytest.mark.parametrize("family, message", [
+    ({"kind": "interval", "sigma": "abc", "grid": 8},
+     "family.sigma: expected int or float"),
+    ({"kind": "interval", "sigma": 0.5}, "family.grid: missing required field"),
+    ({"kind": ["interval"]}, "family.kind: expected str"),
+    ({"kind": "random-canonical", "count": 2, "kernel_seed": "4"},
+     "family.kernel_seed: expected int"),
+    ("interval", "family: expected object")])
+def test_nested_field_refusal_names_its_path(tmp_path, capsys, family, message):
+    assert run(_write(tmp_path, _base_cfg(family=family)), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("experiment", sorted(_X_GRID_CONFIGS))
+@pytest.mark.parametrize("x_grid", [[[1.0, 2.0], [3.0, 4.0]], ["a"], [[1.0, 2.0], [3.0]],
+                                    {"start": 0.0, "stop": 1.0, "points": -1}],
+                         ids=["nested", "string", "ragged", "negative-points"])
+def test_x_grid_must_be_a_flat_list_of_numbers(tmp_path, capsys, experiment, x_grid):
+    cfg = dict(_X_GRID_CONFIGS[experiment], x_grid=x_grid)
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: x_grid: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(_X_GRID_CONFIGS))
+def test_x_grid_of_zero_points_is_the_empty_grid(tmp_path, experiment):
+    cfg = dict(_X_GRID_CONFIGS[experiment],
+               x_grid={"start": 1.0, "stop": 0.0, "points": 0})
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), str(out)) == 0
+    assert (out / "curve.csv").read_text() == CURVE_HEADER + "\n"
+
+
+@pytest.mark.parametrize("over, field", [
+    ({"seed": 2 ** 64}, "seed"), ({"seed": -1}, "seed"),
+    ({"family": {"kind": "random-canonical", "count": 2, "kernel_seed": -1}},
+     "family.kernel_seed"),
+    ({"family": {"kind": "random-canonical", "count": 2, "kernel_seed": 2 ** 64}},
+     "family.kernel_seed")])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, over, field):
+    assert run(_write(tmp_path, _base_cfg(**over)), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"config error: {field}: must lie in [0, 2^64)\n"
+
+
+def test_seed_rule_covers_every_experiment_and_the_override(tmp_path, capsys):
+    cfg = {"experiment": "schedule_audit", "seed": 2 ** 64, "n": 4096, "k": 1,
+           "sigma": 0.5, "x": 2.0, "A_bar": 2.0, "D": 4.0, "L": 2.0}
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+    assert run(_write(tmp_path, dict(cfg, seed=2 ** 64 - 1)), str(tmp_path / "out")) == 0
+    assert main(["run", _write(tmp_path, _base_cfg()), "--out", str(tmp_path / "o2"),
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+
+
+@pytest.mark.parametrize("over, field", [({"sigma": 1.5}, "sigma"), ({"x": 0}, "x")])
+def test_schedule_audit_sigma_and_x_are_the_library_rules(tmp_path, capsys, over,
+                                                          field):
+    cfg = {"experiment": "schedule_audit", "seed": 0, "n": 4096, "k": 1,
+           "sigma": 0.5, "x": 2.0, "A_bar": 2.0, "D": 4.0, "L": 2.0}
+    assert run(_write(tmp_path, dict(cfg, **over)), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_chaos_audit_fractional_index_exits_2(tmp_path, capsys):
+    cfg = {"experiment": "chaos_audit", "seed": 0, "n": 4, "k": 2,
+           "coefficients": {"index_tuples": [[-0.5, 1], [2, 3]], "values": [1, 2]},
+           "x_grid": [0.0, 1.0]}
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == \
+        "config error: coefficients: index tuples must hold integers\n"
     assert not (tmp_path / "out").exists()
