@@ -54,6 +54,8 @@ class BoundConstants:
         overrides = {} if overrides is None else overrides
         if not isinstance(overrides, dict) or not set(overrides) <= set(CONSTANT_FLOORS):
             raise ValueError(f"expected an object with keys among {list(CONSTANT_FLOORS)}")
+        if None in overrides.values():  # the dataclass would read it as "default"
+            raise ValueError("a constant must be a finite number, not null")
         return cls(k=k, **overrides)
 
 
@@ -114,7 +116,8 @@ class ChainingSchedule:
     D: float
     L: float
 
-    def invariants_hold(self, tol: float = 1e-9) -> bool:
+    def invariants_hold(self) -> bool:
+        tol = 1e-9  # relative slack for rounding in sigma_bar and x
         ok = abs(self.sigma_bar ** 2 - 16.0 ** (-self.R) * self.sigma ** 2) \
             <= tol * self.sigma ** 2
         for p, m_p in enumerate(self.net_sizes):

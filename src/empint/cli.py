@@ -22,9 +22,9 @@ from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
                     chaos_tail_bound, exact_chaos_tail, EnumerationRefused,
                     optimal_q_tail)
 from .decomposition import canonicalize
-from .kernels import (INTERVAL_BUDGET, BoxRestrictionFamily, BudgetExceeded,
-                      ExplicitFamily, KernelFunction, _check_shape,
-                      interval_family, l2_norm, singleton_family)
+from .kernels import (INTERVAL_BUDGET, BoxRestrictionFamily, ExplicitFamily,
+                      KernelFunction, _check_shape, interval_family, l2_norm,
+                      singleton_family)
 from .spaces import (InvalidArgument, ProbabilitySpace, finite_space,
                      stream_rng, uniform_space)
 from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
@@ -49,6 +49,14 @@ REQUIRED = object()
 SEED_RULE = (lambda v: 0 <= v < 2 ** 64, "must lie in [0, 2^64)")
 
 
+def _numbers_only(v, depth: int = 8) -> bool:
+    """Every entry of a list nested at most `depth` deep is an int or a float,
+    not a bool; the depth cap keeps a deep list from exhausting the stack."""
+    if isinstance(v, list):
+        return depth > 0 and all(_numbers_only(e, depth - 1) for e in v)
+    return type(v) in (int, float)
+
+
 def _require(cfg: dict, path: str, types, cond=None, problem="invalid value",
              default=REQUIRED):
     """cfg[last part of the dotted `path`], or `default` if it is absent."""
@@ -64,6 +72,8 @@ def _require(cfg: dict, path: str, types, cond=None, problem="invalid value",
             {dict: "object"}.get(t, t.__name__) for t in names))
     if isinstance(v, float) and not np.isfinite(v):
         raise ConfigError(path, "must be finite")
+    if isinstance(v, list) and not _numbers_only(v):
+        raise ConfigError(path, "every entry must be a number")
     if cond is not None and not cond(v):
         raise ConfigError(path, problem)
     return v
@@ -151,7 +161,7 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError("config", f"unreadable: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError("config", f"not valid JSON: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be an object")
@@ -161,11 +171,7 @@ def load_config(path: str) -> dict:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".12g")
+    return str(int(v)) if isinstance(v, bool) else format(float(v), ".12g")
 
 
 def overlay_bounds(curve: TailCurve, k: int, sigma: float, D: float, L: float,
@@ -197,36 +203,11 @@ def _curve_payload(curve: TailCurve):
             "replications": curve.replications}
 
 
-def _family_payload(family):
-    """Member count against distinct tables; read after the experiment has
-    run, so the family's table cache is never shipped to workers."""
-    return {"members": len(family),
-            "unique_tables": int(family.unique_tables()[0].shape[0])}
-
-
 def execute(cfg: dict, workers: int = 1):
     """Run the configured experiment; returns (payload dict, curve rows)."""
     exp = cfg["experiment"]
     seed = _require(cfg, "seed", int, *SEED_RULE)
     n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
-
-    if exp in ("sup_tail", "symmetrization", "decoupling", "counterexample"):
-        reps = _require(cfg, "reps", int)
-
-    if exp == "counterexample":
-        sigma = _require(cfg, "sigma", (int, float))
-        eps = _require(cfg, "epsilon", (int, float))
-        grid = _require(cfg, "grid", int, default=None)
-        with _section("constants"):
-            consts = BoundConstants.from_dict(1, cfg.get("constants"))
-        res = counterexample_experiment(float(sigma), n, float(eps), reps,
-                                        seed, grid=grid, workers=workers)
-        rows = overlay_bounds(res.curve, 1, res.sigma, *INTERVAL_BUDGET, n,
-                              consts)
-        payload = {"x_star": res.x_star, "x_low": res.x_low, "p_low": res.p_low,
-                   "x_high": res.x_high, "p_high": res.p_high,
-                   "grid": res.grid, "replications": reps}
-        return payload, rows
 
     if exp == "schedule_audit":
         k = _require(cfg, "k", int, lambda v: v >= 1, "must be >= 1")
@@ -276,61 +257,71 @@ def execute(cfg: dict, workers: int = 1):
         payload = {"S": S, "exact_tail": [[r["x"], r["p"]] for r in rows]}
         return payload, rows
 
-    # sup_tail / symmetrization / decoupling share the space+family plumbing
-    k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
+    # Monte Carlo experiments: each picks its curve, one tail overlays the bounds
+    reps = _require(cfg, "reps", int)
+    k = 1 if exp == "counterexample" else _require(
+        cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
+    with _section("constants"):
+        consts = BoundConstants.from_dict(k, cfg.get("constants"))
+    if exp == "counterexample":
+        sigma = _require(cfg, "sigma", (int, float))
+        eps = _require(cfg, "epsilon", (int, float))
+        grid = _require(cfg, "grid", int, default=None)
+        res = counterexample_experiment(float(sigma), n, float(eps), reps,
+                                        seed, grid=grid, workers=workers)
+        payload = {"x_star": res.x_star, "x_low": res.x_low, "p_low": res.p_low,
+                   "x_high": res.x_high, "p_high": res.p_high,
+                   "grid": res.grid, "replications": reps}
+        return payload, overlay_bounds(res.curve, k, res.sigma,
+                                       *INTERVAL_BUDGET, n, consts)
+
     space = _build_space(_require(cfg, "space", dict), "space")
     family = _build_family(_require(cfg, "family", dict), "family", space, k)
     if family.k != k:
         raise ConfigError("family", f"member arity {family.k} does not match k={k}")
-    with _section("constants"):
-        consts = BoundConstants.from_dict(k, cfg.get("constants"))
 
     if exp == "symmetrization":
         x = _require(cfg, "x", (int, float), lambda v: v >= 0, "must be >= 0")
         res = symmetrization_experiment(family, space, n, float(x), reps, seed,
                                         workers=workers)
+        curve = res.curve
         payload = {"x": res.x, "lhs": res.lhs, "lhs_interval": list(res.lhs_interval),
                    "rhs": res.rhs, "rhs_interval": list(res.rhs_interval),
-                   "replications": reps, "family": _family_payload(family)}
-        rows = overlay_bounds(res.curve, k, family.sigma, family.D, family.L,
-                              family.beta, n, consts)
-        return payload, rows
-
-    grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
-    if exp == "sup_tail":
+                   "replications": reps}
+    elif exp == "sup_tail":
+        grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
         kind = _require(cfg, "statistic", str, lambda v: v in ("J", "I", "decoupled-I"),
                         "must be J, I or decoupled-I", default="J")
         curve = mc_sup_tail(family, space, n, k, kind, grid, reps, seed,
                             workers=workers)
-        rows = overlay_bounds(curve, k, family.sigma, family.D, family.L,
-                              family.beta, n, consts)
-        payload = {"curve": _curve_payload(curve), "statistic": kind,
-                   "family": _family_payload(family)}
+        payload = {"curve": _curve_payload(curve), "statistic": kind}
+    elif exp == "decoupling":
+        grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
+        res = decoupling_experiment(family, space, n, k, grid, reps, seed,
+                                    workers=workers)
+        curve = res.coupled
+        payload = {"coupled": _curve_payload(res.coupled),
+                   "decoupled": _curve_payload(res.decoupled),
+                   "ratio": [None if np.isnan(r) else float(r) for r in res.ratio]}
+    else:
+        raise ConfigError("experiment", f"unknown experiment {exp!r}")
+    # read after the run, so the family's table cache is never shipped to workers
+    payload["family"] = {"members": len(family),
+                         "unique_tables": int(family.unique_tables()[0].shape[0])}
+    if exp == "sup_tail":  # fitted after the table build, which peaks lower in RSS
         try:
             slope, stderr = exponent_fit(curve)
             payload["exponent_fit"] = {"slope": slope, "stderr": stderr}
         except TooFewQualifyingPoints:
             payload["exponent_fit"] = None
-        return payload, rows
-
-    if exp == "decoupling":
-        res = decoupling_experiment(family, space, n, k, grid, reps, seed,
-                                    workers=workers)
-        rows = overlay_bounds(res.coupled, k, family.sigma, family.D, family.L,
-                              family.beta, n, consts)
-        payload = {"coupled": _curve_payload(res.coupled),
-                   "decoupled": _curve_payload(res.decoupled),
-                   "ratio": [None if np.isnan(r) else float(r) for r in res.ratio],
-                   "family": _family_payload(family)}
-        return payload, rows
-
-    raise ConfigError("experiment", f"unknown experiment {exp!r}")
+    return payload, overlay_bounds(curve, k, family.sigma, family.D, family.L,
+                                   family.beta, n, consts)
 
 
 def run(config_path: str, out_dir: str, workers: int = 1,
-        seed_override: int | None = None, fmt: str = "both") -> int:
-    """Full run: validate, execute, write report/curve files. Returns the
-    exit code."""
+        seed_override: int | None = None) -> int:
+    """Full run: validate, execute, write curve.csv and report.json. Returns
+    the exit code."""
     import os
     try:
         cfg = load_config(config_path)
@@ -342,20 +333,17 @@ def run(config_path: str, out_dir: str, workers: int = 1,
     except InvalidArgument as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ResidualTooLarge, BudgetExceeded, NotApplicable,
-            EnumerationRefused) as e:
+    except (ResidualTooLarge, NotApplicable, EnumerationRefused) as e:
         print(f"numerical check failed: {e}", file=sys.stderr)
         return 3
     os.makedirs(out_dir, exist_ok=True)
-    if fmt in ("table", "both"):
-        _write_curve(os.path.join(out_dir, "curve.csv"), rows)
-    if fmt in ("report", "both"):
-        report = {"config": cfg, "payload": payload,
-                  "wall_clock_seconds": elapsed, "workers": workers,
-                  "version": __version__, "seed": cfg["seed"]}
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_curve(os.path.join(out_dir, "curve.csv"), rows)
+    report = {"config": cfg, "payload": payload,
+              "wall_clock_seconds": elapsed, "workers": workers,
+              "version": __version__, "seed": cfg["seed"]}
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return 0
 
 
@@ -370,14 +358,12 @@ def main(argv=None) -> int:
     runp.add_argument("--out", default=".", help="output directory")
     runp.add_argument("--workers", type=int, default=1)
     runp.add_argument("--seed", type=int, default=None, help="seed override")
-    runp.add_argument("--format", choices=("table", "report", "both"),
-                      default="both")
     args = parser.parse_args(argv)
     if args.workers < 1:
         print("config error: workers: must be >= 1", file=sys.stderr)
         return 2
     return run(args.config, args.out, workers=args.workers,
-               seed_override=args.seed, fmt=args.format)
+               seed_override=args.seed)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +194,7 @@ def singleton_family(f: KernelFunction, sigma: float = 1.0) -> ExplicitFamily:
 
 # (D, L, beta): L2-density budget of the d=1 box construction at k=1
 INTERVAL_BUDGET = (4.0, 2.0, 0.0)
+TABLE_LIMIT = 2 ** 27  # most entries a family may tabulate: 1 GiB of float64
 
 
 def interval_family(sigma: float, grid: int) -> ExplicitFamily:
@@ -208,6 +210,9 @@ def interval_family(sigma: float, grid: int) -> ExplicitFamily:
     if grid < int(np.ceil(1.0 / sigma ** 2)) or max_cells < 1:
         raise InvalidArgument("grid", "too coarse to represent length-sigma^2 "
                                       "intervals")
+    count = max_cells * (grid + 1) - max_cells * (max_cells + 1) // 2
+    if count * grid > TABLE_LIMIT:
+        raise InvalidArgument("grid", f"{count} intervals x {grid} cells exceed 2^27 entries")
     kernels = []
     for length in range(1, max_cells + 1):
         for start in range(0, grid - length + 1):
@@ -234,13 +239,26 @@ class BoxRestrictionFamily(FunctionFamily):
         k = f.k
         super().__init__(k, f.m, D=float(2 ** (k * (k + 1))), L=float(2 * k))
         self.f = f
-        self.axis_intervals = [(u, v) for u in range(f.m + 1)
-                               for v in range(u, f.m + 1)]
+        # per-axis support hull [lo, hi) of f, (0, 0) when f is zero
+        support = np.abs(f.table) > 0
+        self.hulls = []
+        for axis in range(k):
+            idx = np.nonzero(np.any(support, axis=tuple(
+                a for a in range(k) if a != axis)))[0]
+            self.hulls.append((int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0))
+        # one member per box; _distinct builds one table per nonempty clipped
+        # box, plus the zero table
+        members = ((f.m + 1) * (f.m + 2) // 2) ** k
+        tables = math.prod((hi - lo) * (hi - lo + 1) // 2 for lo, hi in self.hulls) + 1
+        if max(members, tables * f.m ** k) > TABLE_LIMIT:
+            raise ValueError(f"{members} boxes, or {tables} distinct tables x "
+                             f"{f.m ** k} cells, exceed 2^27 entries")
 
     @property
     def boxes(self) -> list:
         """Each member's box, in member order."""
-        return list(itertools.product(self.axis_intervals, repeat=self.k))
+        intervals = [(u, v) for u in range(self.m + 1) for v in range(u, self.m + 1)]
+        return list(itertools.product(intervals, repeat=self.k))
 
     def _distinct(self):
         """Candidate restrictions, grouped in one vectorised step.
@@ -253,16 +271,12 @@ class BoxRestrictionFamily(FunctionFamily):
         [1, 2) is zero), which the base class merges.
         """
         k, m = self.k, self.m
-        iv = np.array(self.axis_intervals)
-        support = np.abs(self.f.table) > 0
+        iv = np.stack(np.triu_indices(m + 1), axis=1)  # the (u, v) with u <= v
         # code of a box: the per-axis (u, v) of its clipped box as digits in
         # base m + 1, or -1 when a clip is empty
         code = np.zeros((1,) * k, dtype=np.int64)
         empty = np.zeros((1,) * k, dtype=bool)
-        for axis in range(k):
-            idx = np.nonzero(np.any(support, axis=tuple(
-                a for a in range(k) if a != axis)))[0]
-            lo, hi = (idx[0], idx[-1] + 1) if idx.size else (0, 0)
+        for axis, (lo, hi) in enumerate(self.hulls):
             cu, cv = np.maximum(iv[:, 0], lo), np.minimum(iv[:, 1], hi)
             shape = (len(iv),) + (1,) * (k - 1 - axis)
             code = code * (m + 1) ** 2 + (cu * (m + 1) + cv).reshape(shape)

@@ -33,6 +33,7 @@ class ResidualTooLarge(Exception):
 
 STREAMS_PER_DRAW = 64  # stream-id stride between Monte Carlo replicas
 HOLDOUT_STREAMS = 2 ** 32  # first stream id of the expansion holdout
+EXPANSION_REL_TOL = 1e-8  # largest relative residual of the expansion fit
 
 
 class _Drawn:
@@ -277,8 +278,7 @@ def _expansion_pairs(space: ProbabilitySpace, n: int, k: int, count: int,
 
 
 def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
-                                  trials: int, seed: int,
-                                  rel_tol: float = 1e-8) -> ExpansionCoefficients:
+                                  trials: int, seed: int) -> ExpansionCoefficients:
     """Solve for the coefficients C(n,k,r) by least squares over random
     (kernel, sample) pairs; the residual doubles as an integration test of
     J, the U-statistics and the decomposition."""
@@ -291,8 +291,8 @@ def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
                                "the coefficients are not determined")
     residual = float(np.linalg.norm(rows @ coeffs - targets)
                      / max(np.linalg.norm(targets), 1e-300))
-    if residual > rel_tol:
-        raise ResidualTooLarge(f"relative residual {residual:.3e} > {rel_tol:g}")
+    if residual > EXPANSION_REL_TOL:
+        raise ResidualTooLarge(f"relative residual {residual:.3e} > {EXPANSION_REL_TOL:g}")
     return ExpansionCoefficients(n=n, k=k, values=coeffs, residual=residual)
 
 
@@ -340,14 +340,8 @@ def exact_u_statistic_moment(f: KernelFunction, space: ProbabilitySpace,
 def exact_decoupled_second_moment(f: KernelFunction, space: ProbabilitySpace,
                                   n: int) -> float:
     """E[decoupled I^2] by enumerating all k independent copies."""
-    k = f.k
-    total = 0.0
-    for configs in itertools.product(
-            itertools.product(range(space.m), repeat=n), repeat=k):
-        cols = [np.array(c, dtype=np.int64) for c in configs]
-        prob = float(np.prod([np.prod(space.weights[c]) for c in cols]))
-        total += prob * _flat_dot(f, distinct_weights(cols, space.m)) ** 2
-    return total
+    return sum(prob * _flat_dot(f, distinct_weights(values.reshape(f.k, n), space.m)) ** 2
+               for values, prob in enumerate_configurations(space, f.k * n))
 
 
 def ordered_distinct_tuple_count(n: int, k: int) -> int:

@@ -95,22 +95,6 @@ def test_seed_override_embedded(tmp_path):
     assert report["seed"] == 99
 
 
-def test_format_table_only(tmp_path):
-    path = _write(tmp_path, _base_cfg())
-    out = tmp_path / "out"
-    assert main(["run", path, "--out", str(out), "--format", "table"]) == 0
-    assert (out / "curve.csv").exists()
-    assert not (out / "report.json").exists()
-
-
-def test_format_report_only(tmp_path):
-    path = _write(tmp_path, _base_cfg())
-    out = tmp_path / "out"
-    assert main(["run", path, "--out", str(out), "--format", "report"]) == 0
-    assert not (out / "curve.csv").exists()
-    assert (out / "report.json").exists()
-
-
 def test_chaos_audit_matches_hand_enumeration(tmp_path):
     cfg = {
         "experiment": "chaos_audit", "seed": 0, "n": 4, "k": 1,
@@ -252,6 +236,65 @@ PINNED_CURVES = [
      "55,0.035,0.0170555420086,0.0704706115223,0.369836884517,0.00577870132058,0\n"
      "60,0.02,0.00780442641635,0.0502870869058,0.193009022593,0.00301576597801,0\n"
      "65,0.01,0.00274665813354,0.0357217617162,0.100726791626,0.00157385611915,0\n"),
+    # sup_tail J on a box, I on a singleton over non-uniform weights and
+    # decoupled-I on a random-canonical family, then chaos_audit at k=2 and
+    # k=3 with x far enough out for the bound columns to fall below 1
+    ({"experiment": "sup_tail", "seed": 12, "n": 24, "k": 2, "reps": 200,
+      "statistic": "J", "space": {"points": 4, "weights": "uniform"},
+      "family": {"kind": "box", "table": [[1.0, -0.5, 0.0, 0.5],
+                                          [-0.5, 0.25, 0.5, 0.0],
+                                          [0.0, 0.5, -1.0, 0.25],
+                                          [0.5, 0.0, 0.25, -0.5]]},
+      "x_grid": [0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 20.0]},
+     "0,1,0.981154673623,1,1,1,0\n"
+     "0.1,0.565,0.495707362598,0.631842744973,1,1,0\n"
+     "0.2,0.26,0.204138300636,0.324907456025,1,1,0\n"
+     "0.3,0.115,0.0778637323256,0.166647168985,1,1,0\n"
+     "0.4,0.05,0.0273826456008,0.0895781481388,1,1,0\n"
+     "0.6,0.02,0.00780442641635,0.0502870869058,1,1,0\n"
+     "20,0,1.73472347598e-18,0.0188453263773,1,0.548098384103,0\n"),
+    ({"experiment": "sup_tail", "seed": 13, "n": 30, "k": 2, "reps": 200,
+      "statistic": "I", "space": {"weights": [0.4, 0.3, 0.2, 0.1]},
+      "family": {"kind": "singleton", "sigma": 0.5,
+                 "table": [[1.0, -0.5, 0.0, 0.5], [-0.5, 0.25, 0.5, 0.0],
+                           [0.0, 0.5, -1.0, 0.25], [0.5, 0.0, 0.25, -0.5]]},
+      "x_grid": [8.0, 16.0, 32.0, 48.0, 64.0, 96.0]},
+     "8,0.99,0.964278238284,0.997253341866,0.922156453931,1,0\n"
+     "16,0.98,0.949712913094,0.992195573584,0.115085406599,0.922156453931,0\n"
+     "32,0.89,0.839073090027,0.926227555399,0.00179246856901,0.115085406599,0\n"
+     "48,0.59,0.520764590337,0.655843250915,2.79179060651e-05,0.0143626938309,0\n"
+     "64,0.36,0.296691973046,0.42858471834,4.3482462819e-07,0.00179246856901,0\n"
+     "96,0.1,0.0656704486691,0.149405812433,1.05481602606e-10,2.79179060651e-05,0\n"),
+    ({"experiment": "sup_tail", "seed": 14, "n": 20, "k": 2, "reps": 200,
+      "statistic": "decoupled-I", "space": {"points": 4, "weights": "uniform"},
+      "family": {"kind": "random-canonical", "count": 3, "kernel_seed": 4},
+      "x_grid": [2.0, 4.0, 6.0, 8.0, 12.0, 16.0]},
+     "2,0.945,0.904213001228,0.969014658297,1,1,0\n"
+     "4,0.71,0.643625218992,0.768459743929,1,1,0\n"
+     "6,0.52,0.451037850728,0.588208336217,1,1,0\n"
+     "8,0.35,0.287288241274,0.41836535664,1,1,0\n"
+     "12,0.195,0.146055205344,0.255440443746,1,1,0\n"
+     "16,0.085,0.0537457501775,0.131895870716,1,0.922156453931,0\n"),
+    ({"experiment": "chaos_audit", "seed": 0, "n": 6, "k": 2,
+      "coefficients": {"index_tuples": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5],
+                                        [0, 5]],
+                       "values": [1.0, -0.5, 0.75, 1.0, -1.0, 0.5]},
+      "x_grid": [0.0, 1.0, 2.0, 3.0, 16.0, 24.0]},
+     "0,1,1,1,1,1,0\n"
+     "1,0.8125,0.8125,0.8125,1,1,0\n"
+     "2,0.25,0.25,0.25,1,1,0\n"
+     "3,0.0625,0.0625,0.0625,1,1,0\n"
+     "16,0,0,0,0.937095266851,0.126822053359,1\n"
+     "24,0,0,0,0.333719154481,0.0451639762932,1\n"),
+    ({"experiment": "chaos_audit", "seed": 0, "n": 6, "k": 3,
+      "coefficients": {"index_tuples": [[0, 1, 2], [1, 3, 5], [2, 4, 5], [0, 3, 4]],
+                       "values": [1.0, -0.5, 0.75, 2.0]},
+      "x_grid": [0.0, 1.0, 3.0, 4.0, 80.0]},
+     "0,1,1,1,1,1,0\n"
+     "1,0.75,0.75,0.75,1,1,0\n"
+     "3,0.25,0.25,0.25,1,1,0\n"
+     "4,0,0,0,1,1,0\n"
+     "80,0,0,0,0.872994059712,0.0434638149356,1\n"),
 ]
 
 
@@ -260,6 +303,46 @@ def test_hit_count_rows_match_pinned_curve(tmp_path, cfg, rows):
     out = tmp_path / "out"
     assert run(_write(tmp_path, cfg), str(out)) == 0
     assert (out / "curve.csv").read_text() == CURVE_HEADER + "\n" + rows
+
+
+_MONTE_CARLO_PINS = [(cfg, rows) for cfg, rows in PINNED_CURVES
+                     if cfg["experiment"] != "chaos_audit"]
+
+
+@pytest.mark.parametrize("cfg, rows", _MONTE_CARLO_PINS, ids=[
+    cfg["experiment"] + "-" + cfg.get("family", {}).get("kind", "interval")
+    for cfg, _ in _MONTE_CARLO_PINS])
+def test_pinned_monte_carlo_curve_at_two_workers(tmp_path, cfg, rows):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--workers", "2"]) == 0
+    assert (out / "curve.csv").read_text() == CURVE_HEADER + "\n" + rows
+
+
+# payloads of the audits without a curve; least-squares bits may differ
+# across BLAS builds, so values are pinned to 12 significant digits (the
+# roundoff-sized residuals to 1e-12) rather than as bytes
+PINNED_PAYLOADS = [
+    ({"experiment": "schedule_audit", "seed": 0, "n": 4096, "k": 2,
+      "sigma": 0.5, "x": 3.0, "A_bar": 4.0, "D": 4.0, "L": 2.0},
+     {"R": 1, "invariants_hold": True, "net_sizes": [16, 256], "sigma_bar": 0.125}),
+    ({"experiment": "expansion_audit", "seed": 7, "n": 5, "k": 2,
+      "space": {"points": 16, "weights": "uniform"}, "trials": 30,
+      "holdout_pairs": 10},
+     {"coefficients": [-0.5, -0.22360679775, 1.0],
+      "holdout_max_relative_error": 4.99014295310e-13,
+      "residual": 5.59253387242e-16}),
+]
+
+
+@pytest.mark.parametrize("cfg, payload", PINNED_PAYLOADS,
+                         ids=["schedule_audit", "expansion_audit"])
+def test_audit_payload_matches_pinned_values(tmp_path, cfg, payload):
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), str(out)) == 0
+    got = json.loads((out / "report.json").read_text())["payload"]
+    assert sorted(got) == sorted(payload)
+    for key, want in payload.items():
+        assert got[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
 
 
 @pytest.mark.parametrize("cfg, workers, members, unique", [
@@ -411,9 +494,9 @@ _COUNTEREXAMPLE = {"experiment": "counterexample", "seed": 5, "sigma": 0.3,
 
 @pytest.mark.parametrize("constants", [
     {"C": -1}, {"foo": 1}, "abc", {"C": float("nan"), "alpha": float("inf")},
-    {"alpha": 0}, {"A0": 1.0}, {"k": 2}, [1.0]],
+    {"alpha": 0}, {"A0": 1.0}, {"k": 2}, [1.0], {"C": None}],
     ids=["negative", "unknown", "string", "non-finite", "zero-alpha",
-         "A0-one", "k", "list"])
+         "A0-one", "k", "list", "null"])
 @pytest.mark.parametrize("base", [_COUNTEREXAMPLE, _base_cfg()],
                          ids=["counterexample", "sup_tail"])
 def test_invalid_constants_exit_2(tmp_path, capsys, monkeypatch, constants,
@@ -604,4 +687,60 @@ def test_chaos_audit_fractional_index_exits_2(tmp_path, capsys):
     assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == \
         "config error: coefficients: index tuples must hold integers\n"
+    assert not (tmp_path / "out").exists()
+
+
+_CHAOS = {"experiment": "chaos_audit", "seed": 0, "n": 4, "k": 2,
+          "coefficients": {"index_tuples": [[0, 1], [2, 3]], "values": [1.0, 2.0]},
+          "x_grid": [0.0, 1.0]}
+
+
+_LIST_FIELDS = {
+    "space.weights": lambda v: _base_cfg(
+        space={"weights": [v, 1, 1, 1]}, x_grid=[0.0, 1.0],
+        family={"kind": "singleton", "table": [1.0, -1.0, 0.5, -0.5]}),
+    "family.table": lambda v: _base_cfg(
+        space={"points": 4, "weights": "uniform"}, x_grid=[0.0, 1.0],
+        family={"kind": "singleton", "table": [v, 0.2, 0.3, 0.4]}),
+    "x_grid": lambda v: _base_cfg(x_grid=[v, 2.0]),
+    "coefficients.values": lambda v: dict(
+        _CHAOS, coefficients={"index_tuples": [[0, 1], [2, 3]], "values": [v, 2e3]}),
+    "coefficients.index_tuples": lambda v: dict(
+        _CHAOS, coefficients={"index_tuples": [[v, 0], [2, 3]], "values": [1.0, 2.0]}),
+}
+
+
+@pytest.mark.parametrize("entry", [True, "1"], ids=["bool", "string"])
+@pytest.mark.parametrize("field", sorted(_LIST_FIELDS))
+def test_list_entries_must_be_numbers(tmp_path, capsys, field, entry):
+    # a bool or a numeric string inside a list is refused like a scalar one
+    assert run(_write(tmp_path, _LIST_FIELDS[field](entry)), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {field}: every entry must be a number\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_counterexample_too_big_to_tabulate_writes_nothing(tmp_path, capsys):
+    # sigma=0.01 needs n >= 80,000 and a 20,000-cell grid: 39,999 interval
+    # tables of 20,000 cells, refused before any is built
+    cfg = dict(_COUNTEREXAMPLE, sigma=0.01, n=80000, reps=2)
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == \
+        "config error: grid: 39999 intervals x 20000 cells exceed 2^27 entries\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("depth, message", [
+    (900, "coefficients.values: every entry must be a number"),
+    (100_000, "config: not valid JSON: maximum recursion depth exceeded")],
+    ids=["parsed", "too-deep-to-parse"])
+def test_deeply_nested_list_exits_2(tmp_path, capsys, depth, message):
+    # 900 levels parse, and the list check stops at its depth cap instead of
+    # exhausting the stack; 100,000 levels exceed the JSON decoder's limit
+    path = tmp_path / "cfg.json"
+    path.write_text('{"experiment": "chaos_audit", "seed": 0, "n": 4, "k": 1, '
+                    '"coefficients": {"index_tuples": [[0]], "values": '
+                    + "[" * depth + "1" + "]" * depth + "}}")
+    assert run(str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "out").exists()

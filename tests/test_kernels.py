@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from empint.kernels import (BoxRestrictionFamily, BudgetExceeded,
                             ExplicitFamily, KernelFunction, epsilon_net,
                             interval_family, l2_norm, offdiag_mask,
                             product_weights, singleton_family, sup_norm)
-from empint.spaces import DiscreteMeasure, finite_space, stream_rng, uniform_space
+from empint.spaces import (DiscreteMeasure, InvalidArgument, finite_space,
+                           stream_rng, uniform_space)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -396,3 +398,34 @@ def test_product_weights_reads_every_input_alike():
     want = product_weights(sp, 2, 4)
     for nu in (sp.weights, list(sp.weights), DiscreteMeasure(sp.weights)):
         np.testing.assert_array_equal(product_weights(nu, 2, 4), want)
+
+
+@pytest.mark.parametrize("build, error", [
+    # sigma=0.01 on 20,000 cells: 39,999 interval tables, 6.4 GB of float64
+    (lambda: interval_family(0.01, 20000), InvalidArgument),
+    # k=3 with full support on 16 cells: 136^3 + 1 tables of 4,096 entries
+    (lambda: BoxRestrictionFamily(KernelFunction(np.full((16,) * 3, 0.5)), 16),
+     ValueError),
+    # one distinct table, but 16,384 * 16,385 / 2 boxes on 16,383 cells
+    (lambda: BoxRestrictionFamily(KernelFunction(np.zeros(16383)), 16383),
+     ValueError)],
+    ids=["interval", "box-tables", "box-members"])
+def test_family_too_big_to_tabulate_is_refused_before_allocating(build, error):
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match="exceed 2\\^27 entries"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_box_family_table_count_follows_the_support_hull():
+    # a one-cell support has one nonempty clip per axis, so 2 distinct
+    # tables among the 45^3 boxes
+    f = np.zeros((8,) * 3)
+    f[3, 5, 2] = 1.0
+    family = BoxRestrictionFamily(KernelFunction(f), 8)
+    assert family.hulls == [(3, 4), (5, 6), (2, 3)]
+    assert (len(family), family.unique_tables()[0].shape[0]) == (45 ** 3, 2)
