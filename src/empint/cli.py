@@ -31,12 +31,12 @@ from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
     validate_expansion
 from .experiments import (counterexample_experiment, decoupling_experiment,
                           exponent_fit, mc_sup_tail, symmetrization_experiment,
-                          TailCurve, TooFewQualifyingPoints)
+                          TailCurve, TooFewQualifyingPoints, worker_count)
 
 CURVE_HEADER = "x,p,ci_lo,ci_hi,theorem_bound,corollary_bound,applicable"
 
-EXPERIMENTS = ("sup_tail", "symmetrization", "decoupling", "counterexample",
-               "chaos_audit", "expansion_audit", "schedule_audit")
+AUDITS = ("chaos_audit", "expansion_audit", "schedule_audit")  # no replications
+EXPERIMENTS = ("sup_tail", "symmetrization", "decoupling", "counterexample") + AUDITS
 
 
 class ConfigError(InvalidArgument):
@@ -338,8 +338,10 @@ def run(config_path: str, out_dir: str, workers: int = 1,
         return 3
     os.makedirs(out_dir, exist_ok=True)
     _write_curve(os.path.join(out_dir, "curve.csv"), rows)
+    # the processes that ran, not the ones allowed
+    ran = 1 if cfg["experiment"] in AUDITS else worker_count(workers, cfg["reps"])
     report = {"config": cfg, "payload": payload,
-              "wall_clock_seconds": elapsed, "workers": workers,
+              "wall_clock_seconds": elapsed, "workers": ran,
               "version": __version__, "seed": cfg["seed"]}
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -98,21 +98,32 @@ def canonicalize(f: KernelFunction, mu: ProbabilitySpace) -> KernelFunction:
     return out
 
 
-def hoeffding_decompose(f: KernelFunction, mu: ProbabilitySpace) -> HoeffdingDecomposition:
-    """Expand f through the product of (P_j + Q_j), one coordinate j at a time.
+def hoeffding_parts(table: np.ndarray, weights: np.ndarray, k: int) -> dict:
+    """Hoeffding components of the kernels on the last k axes of `table`,
+    each leading axis a batch: V -> array of shape batch + (m,)*|V|.
 
-    A partial table holds the axes of the coordinates V given Q so far, then
-    those not yet expanded.  Coordinate j splits it into p = P_j t (one
-    contraction) and, for V + {j}, t - p broadcast back: 2^k - 1 in all."""
-    _check_shape(f, mu)
-    parts = {frozenset(): f.table}
-    for coord in range(1, f.k + 1):
+    The product of (P_j + Q_j) is expanded one coordinate j at a time.  A
+    partial table holds the batch axes, the axes of the coordinates V given
+    Q so far, then those not yet expanded.  Coordinate j splits it into
+    p = P_j t (one contraction) and, for V + {j}, t - p broadcast back:
+    2^k - 1 contractions for the whole batch."""
+    lead = table.ndim - k
+    parts = {frozenset(): table}
+    for coord in range(1, k + 1):
         split = {}
         for V, t in parts.items():
-            p = np.tensordot(t, mu.weights, axes=([len(V)], [0]))
+            axis = lead + len(V)
+            p = np.tensordot(t, weights, axes=([axis], [0]))
             split[V] = p
-            split[V | {coord}] = t - np.expand_dims(p, len(V))
+            split[V | {coord}] = t - np.expand_dims(p, axis)
         parts = split
+    return parts
+
+
+def hoeffding_decompose(f: KernelFunction, mu: ProbabilitySpace) -> HoeffdingDecomposition:
+    """The Hoeffding decomposition of one kernel (hoeffding_parts, no batch)."""
+    _check_shape(f, mu)
+    parts = hoeffding_parts(f.table, mu.weights, f.k)
     constant = float(parts.pop(frozenset()))
     return HoeffdingDecomposition(
         k=f.k, constant=constant, base_space=mu,

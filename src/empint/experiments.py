@@ -111,11 +111,17 @@ def _sup_block(args):
     return out
 
 
+def worker_count(workers: int, reps: int) -> int:
+    """Processes that run `reps` replications when `workers` are allowed:
+    one block of replications each, and no worker without a replication."""
+    return max(1, min(workers, reps))
+
+
 def _run_blocks(args_template, reps: int, workers: int) -> np.ndarray:
     """_sup_block over `reps` replications split into one block per worker."""
     if reps < 1:
         raise InvalidArgument("reps", "must be >= 1")
-    blocks = np.array_split(np.arange(reps), max(1, min(workers, reps)))
+    blocks = np.array_split(np.arange(reps), worker_count(workers, reps))
     tasks = [args_template + (list(block),) for block in blocks]
     if workers <= 1:
         parts = [_sup_block(t) for t in tasks]

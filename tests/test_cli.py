@@ -369,6 +369,21 @@ def test_report_records_workers_and_family_size(tmp_path, cfg, workers,
                                            "unique_tables": unique}
 
 
+@pytest.mark.parametrize("cfg, workers, ran", [
+    # two replications run in two processes, however many are allowed
+    (_base_cfg(reps=2), 64, 2),
+    # the audits run no replication and open no pool
+    (PINNED_PAYLOADS[0][0], 4, 1),
+    (PINNED_PAYLOADS[1][0], 4, 1),
+    (PINNED_CURVES[6][0], 2, 1),
+], ids=["sup_tail-reps2", "schedule_audit", "expansion_audit", "chaos_audit"])
+def test_report_records_the_processes_that_ran(tmp_path, cfg, workers, ran):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    assert json.loads((out / "report.json").read_text())["workers"] == ran
+
+
 def test_counterexample_via_cli(tmp_path):
     cfg = {"experiment": "counterexample", "seed": 5, "sigma": 0.3, "n": 500,
            "epsilon": 0.5, "reps": 40}

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empint.decomposition import (all_subsets, canonicalize,
-                                  hoeffding_decompose, is_canonical,
+                                  hoeffding_decompose, hoeffding_parts,
+                                  is_canonical,
                                   project_p, project_q)
 from empint.kernels import BoxRestrictionFamily, KernelFunction, sup_norm
 from empint.spaces import finite_space, stream_rng, uniform_space
@@ -143,8 +144,8 @@ def _per_subset_component(f, sp, V):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_decompose_matches_per_subset_formula(k):
     sp = finite_space([0.3, 0.0, 0.5, 0.2])  # one zero-weight atom
-    for seed in range(3):
-        f = _random_kernel(4, k, 40 + seed)
+    kernels = [_random_kernel(4, k, 40 + seed) for seed in range(3)]
+    for f in kernels:
         d = hoeffding_decompose(f, sp)
         assert set(d.components) == {V for V in all_subsets(k) if V}
         assert abs(d.constant - float(_per_subset_component(f, sp, frozenset()))) < 1e-12
@@ -152,6 +153,13 @@ def test_decompose_matches_per_subset_formula(k):
             assert component.table.shape == (4,) * len(V)
             ref = _per_subset_component(f, sp, V)
             assert np.max(np.abs(component.table - ref)) < 1e-12
+    # the same product over a stack of the kernels, batch axis first
+    parts = hoeffding_parts(np.array([f.table for f in kernels]), sp.weights, k)
+    assert set(parts) == set(all_subsets(k))
+    for V, stack in parts.items():
+        assert stack.shape == (len(kernels),) + (4,) * len(V)
+        for f, table in zip(kernels, stack):
+            assert np.max(np.abs(table - _per_subset_component(f, sp, V))) < 1e-12
 
 
 def _l2_under(table, weight_list):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from empint import spaces, statistics
-from empint.decomposition import canonicalize
-from empint.kernels import KernelFunction
-from empint.spaces import (Sample, draw_sample, finite_space, stream_rng,
-                           uniform_space)
-from empint.statistics import (STREAMS_PER_DRAW, DegenerateSample,
-                               ResidualTooLarge, SampleDraw, _partitions,
+from empint.decomposition import canonicalize, hoeffding_decompose
+from empint.kernels import KernelFunction, offdiag_mask
+from empint.spaces import (Sample, draw_sample, finite_space, point_counts,
+                           stream_rng, uniform_space)
+from empint.statistics import (HOLDOUT_STREAMS, STREAMS_PER_DRAW,
+                               DegenerateSample, ResidualTooLarge, SampleDraw,
+                               _expansion_chunks, _expansion_pairs,
+                               _partitions,
                                derive_expansion_coefficients,
                                distinct_weights, draw_bundle,
                                enumerate_configurations,
@@ -468,3 +470,99 @@ def test_expansion_holdout_streams_are_disjoint_from_the_fit(monkeypatch):
     fit, holdout = opened
     assert len(fit) == 1003 and len(holdout) == 4
     assert fit.isdisjoint(holdout)
+
+
+# --- stacked expansion rows against a per-pair reference ---------------------
+
+def _reference_pairs(space, n, k, count, seed, first):
+    """Expansion rows and J of `count` (kernel, sample) pairs, one pair at a
+    time: kernel t is the t-th standard_normal((m,)*k) draw of stream
+    `first`, sample t comes from stream first + 1 + t, and row r sums
+    n^{-r/2} flat(f_V) . distinct_weights([v]*r) over the components f_V of
+    arity r of the diagonal-free kernel."""
+    rng = stream_rng(seed, first)
+    rows, targets = [], []
+    for t in range(count):
+        f = KernelFunction(rng.standard_normal((space.m,) * k))
+        sample = draw_sample(space, n, seed, first + 1 + t)
+        free = hoeffding_decompose(
+            KernelFunction(f.table * offdiag_mask(space.m, k)), space)
+        row = [free.constant]
+        for r in range(1, k + 1):
+            w = distinct_weights([sample.values] * r, space.m).ravel()
+            row.append(n ** (-r / 2) * sum(
+                free.component(V).table.ravel() @ w
+                for V in itertools.combinations(range(1, k + 1), r)))
+        rows.append(row)
+        targets.append(multiple_integral_j(f, sample, space))
+    return np.array(rows), np.array(targets)
+
+
+EXPANSION_SPACES = {"uniform": uniform_space(5),
+                    "atom": finite_space([0.3, 0.0, 0.25, 0.1, 0.35])}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("space", EXPANSION_SPACES, ids=EXPANSION_SPACES)
+@pytest.mark.parametrize("extra", [0, 3], ids=["n=k", "n=k+3"])
+def test_stacked_expansion_rows_match_per_pair_reference(monkeypatch, k,
+                                                         space, extra):
+    sp = EXPANSION_SPACES[space]
+    n = k + extra
+    # stacks of 3 pairs: counts below one stack, equal to one, and not a multiple
+    monkeypatch.setattr(statistics, "EXPANSION_CHUNK_ENTRIES", 3 * sp.m ** k)
+    for count in (2, 3, 7):
+        for first in (0, HOLDOUT_STREAMS):
+            rows, targets = _expansion_pairs(sp, n, k, count, 11, first)
+            ref_rows, ref_targets = _reference_pairs(sp, n, k, count, 11, first)
+            for got, want in ((rows, ref_rows), (targets, ref_targets)):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("entries", [None, 1, 3 * 16 ** 3])
+def test_expansion_stacks_follow_the_sequential_streams(monkeypatch, entries):
+    """The kernels of each stack are the next standard_normal((m,)*k) draws
+    of stream `first`, and the counts those of sample t's own stream."""
+    if entries is not None:
+        monkeypatch.setattr(statistics, "EXPANSION_CHUNK_ENTRIES", entries)
+    sp, n, k, count, seed = uniform_space(16), 6, 3, 10, 4
+    size = max(1, statistics.EXPANSION_CHUNK_ENTRIES // sp.m ** k)
+    for first in (0, HOLDOUT_STREAMS):
+        stacks = list(_expansion_chunks(sp, n, k, count, seed, first))
+        assert [len(t) for t, _ in stacks] == \
+            [min(size, count - s) for s in range(0, count, size)]
+        rng = stream_rng(seed, first)
+        want = np.array([rng.standard_normal((sp.m,) * k) for _ in range(count)])
+        assert np.array_equal(np.concatenate([t for t, _ in stacks]), want)
+        counts = np.concatenate([c for _, c in stacks])
+        for t in range(count):
+            sample = draw_sample(sp, n, seed, first + 1 + t)
+            assert np.array_equal(counts[t], point_counts(sample, sp))
+
+
+def test_expansion_payload_does_not_depend_on_the_stack_size(monkeypatch):
+    sp, n, k = uniform_space(16), 6, 3
+
+    def payload():
+        c = derive_expansion_coefficients(n, k, sp, trials=40, seed=7)
+        return c.values, c.residual, validate_expansion(c, sp, pairs=10, seed=7)
+
+    default = payload()
+    for pairs in (1, 3):
+        monkeypatch.setattr(statistics, "EXPANSION_CHUNK_ENTRIES", pairs * sp.m ** k)
+        values, residual, holdout = payload()
+        np.testing.assert_allclose(values, default[0], rtol=1e-14, atol=1e-14)
+        assert residual == pytest.approx(default[1], abs=1e-14)
+        assert holdout == pytest.approx(default[2], abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_j_from_expansion_equals_j(k):
+    sp = EXPANSION_SPACES["atom"]
+    c = derive_expansion_coefficients(5, k, sp, trials=30, seed=3)
+    for t in range(5):
+        f = _random_kernel(sp.m, k, 100 + t)
+        s = draw_sample(sp, 5, seed=3, stream_id=t)
+        assert j_from_expansion(f, s, sp, c) == pytest.approx(
+            multiple_integral_j(f, s, sp), rel=1e-9, abs=1e-12)
