@@ -17,7 +17,7 @@ from .decomposition import (HoeffdingDecomposition, canonicalize,
 from .statistics import (DegenerateSample, ExpansionCoefficients,
                          ResidualTooLarge, SampleDraw,
                          derive_expansion_coefficients, draw_bundle,
-                         h_integral, j_from_expansion, mirrored_contrast,
+                         h_integral, mirrored_contrast,
                          multiple_integral_j, u_statistic, validate_expansion)
 from .chaos import (ChaosCoefficients, EnumerationRefused, chaos_moment_bound,
                     chaos_s, chaos_tail_bound, chaos_value,

@@ -22,9 +22,9 @@ from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
                     chaos_tail_bound, exact_chaos_tail, EnumerationRefused,
                     optimal_q_tail)
 from .decomposition import canonicalize
-from .kernels import (INTERVAL_BUDGET, BoxRestrictionFamily, ExplicitFamily,
-                      KernelFunction, _check_shape, interval_family, l2_norm,
-                      singleton_family)
+from .kernels import (INTERVAL_BUDGET, TABLE_LIMIT, BoxRestrictionFamily,
+                      ExplicitFamily, KernelFunction, _check_shape,
+                      interval_family, l2_norm, singleton_family)
 from .spaces import (InvalidArgument, ProbabilitySpace, finite_space,
                      stream_rng, uniform_space)
 from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
@@ -123,6 +123,9 @@ def _build_family(spec, field: str, space: ProbabilitySpace, k: int):
         if kind == "random-canonical":
             count = _require(spec, f"{field}.count", int, lambda v: v >= 1,
                              "must be >= 1")
+            if count * space.m ** k > TABLE_LIMIT:
+                raise InvalidArgument("count", f"{count} kernels x {space.m ** k} "
+                                               "cells exceed 2^27 entries")
             kseed = _require(spec, f"{field}.kernel_seed", int, *SEED_RULE)
             rng = stream_rng(kseed, 0)
             kernels = []

@@ -50,10 +50,6 @@ class TailCurve:
             object.__setattr__(self, name, a)
             a.setflags(write=False)
 
-    @property
-    def wilson_halfwidths(self) -> np.ndarray:
-        return (self.ci_hi - self.ci_lo) / 2.0
-
     @classmethod
     def from_maxima(cls, maxima: np.ndarray, x_grid) -> "TailCurve":
         """Tail P(max >= x) at each x, with Wilson intervals."""

@@ -167,10 +167,6 @@ class FunctionFamily:
     def budget_at(self, epsilon: float) -> float:
         return self.D * epsilon ** (-self.L)
 
-    def check_budget(self, n: int) -> bool:
-        """Eq-style growth condition: D <= n**beta."""
-        return self.D <= float(n) ** self.beta
-
 
 class ExplicitFamily(FunctionFamily):
     def __init__(self, kernels, D: float, L: float, beta: float = 0.0,

@@ -52,12 +52,6 @@ class ProbabilitySpace:
         return self.weights.size
 
     @property
-    def min_atom(self) -> float:
-        """Smallest positive weight; a discretization stand-in for non-atomicity."""
-        pos = self.weights[self.weights > 0]
-        return float(pos.min())
-
-    @property
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.weights)
 

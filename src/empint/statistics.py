@@ -246,17 +246,23 @@ class ExpansionCoefficients:
         v.setflags(write=False)
 
 
-def _diagonal_contract(stack: np.ndarray, blocks, vecs: np.ndarray) -> np.ndarray:
-    """Per batch entry z, the sum over point tuples x of stack[z, x] times the
-    product over blocks B of vecs[z, x_B], where the coordinates of one
-    block share one point: the stack's diagonals, one axis per block, then
-    one batched matrix-vector product per block."""
-    label = {s: i + 1 for i, block in enumerate(blocks) for s in block}
-    d = np.einsum(stack, [0] + [label[s] for s in range(stack.ndim - 1)],
-                  list(range(len(blocks) + 1)))
-    for _ in blocks:
-        d = d.reshape(len(d), -1, vecs.shape[1]) @ vecs[:, :, None]
-    return d.reshape(len(d))
+def _falling_contract(stack: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Per batch entry z, the sum over point tuples x of stack[z, x] times
+    prod_j (vec[z, x_j] - #{i < j : x_i = x_j}).
+
+    With vec the counts of one sample, the product counts the ordered
+    distinct index tuples whose points are x: a point met t times takes the
+    falling factorial c (c-1) ... (c-t+1).  The last point axis is contracted
+    with vec (one batched matrix-vector product) less its diagonal with
+    each earlier axis, until only the batch axis is left."""
+    m = vec.shape[1]
+    while stack.ndim > 1:
+        last = stack.ndim - 1
+        out = (stack.reshape(len(stack), -1, m) @ vec[:, :, None]).reshape(stack.shape[:-1])
+        for axis in range(1, last):
+            out -= np.moveaxis(np.diagonal(stack, axis1=axis, axis2=last), -1, axis)
+        stack = out
+    return stack
 
 
 def _expansion_rows(tables: np.ndarray, counts: np.ndarray, n: int,
@@ -267,11 +273,11 @@ def _expansion_rows(tables: np.ndarray, counts: np.ndarray, n: int,
 
     J never sees the kernel's values on point diagonals, so the expansion is
     built from the diagonal-free representative of f; with atoms this is
-    what makes the identity exact.  With one sample in every column, a block
-    of b coordinates in distinct_weights holds the counts on the b-fold
-    point diagonal, so each partition's term is one contraction of the
-    stack's diagonals with the counts; and as that weight tensor is
-    symmetric, the components of one arity are summed first."""
+    what makes the identity exact.  As the U-statistic weight is symmetric,
+    the components of one arity are summed first, and r! I_{n,r} is their
+    falling-factorial contraction with the counts.  J is the same
+    contraction of the diagonal-free stack with nu = mu_n - mu, whose
+    subtracted diagonals are all 0."""
     k = tables.ndim - 1
     tables = tables * offdiag_mask(space.m, k)
     parts = hoeffding_parts(tables, space.weights, k)
@@ -279,12 +285,9 @@ def _expansion_rows(tables: np.ndarray, counts: np.ndarray, n: int,
     rows[:, 0] = parts.pop(frozenset())
     for r in range(1, k + 1):
         s = sum(t for V, t in parts.items() if len(V) == r)
-        u = sum(mobius * _diagonal_contract(s, blocks, counts)
-                for blocks, mobius in _partitions(r))
-        rows[:, r] = n ** (-r / 2) * u / factorial(r)
+        rows[:, r] = n ** (-r / 2) * _falling_contract(s, counts) / factorial(r)
     nu = counts / n - space.weights
-    j = n ** (k / 2) / factorial(k) * _diagonal_contract(
-        tables, [(s,) for s in range(k)], nu)
+    j = n ** (k / 2) / factorial(k) * _falling_contract(tables, nu)
     return rows, j
 
 
@@ -299,8 +302,6 @@ def _expansion_chunks(space: ProbabilitySpace, n: int, k: int, count: int,
     for start in range(0, count, size):
         stop = min(start + size, count)
         tables = rng.standard_normal((stop - start,) + (space.m,) * k)
-        if not np.all(np.isfinite(tables)):  # what KernelFunction checks per table
-            raise ValueError("kernel table entries must be finite")
         counts = np.array([point_counts(draw_sample(space, n, seed, first + 1 + t), space)
                            for t in range(start, stop)])
         yield tables, counts
@@ -333,17 +334,6 @@ def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
     if residual > EXPANSION_REL_TOL:
         raise ResidualTooLarge(f"relative residual {residual:.3e} > {EXPANSION_REL_TOL:g}")
     return ExpansionCoefficients(n=n, k=k, values=coeffs, residual=residual)
-
-
-def j_from_expansion(f: KernelFunction, sample: Sample, space: ProbabilitySpace,
-                     coeffs: ExpansionCoefficients) -> float:
-    """Evaluate J through the degenerate U-statistic expansion."""
-    if f.k != coeffs.k or sample.n != coeffs.n:
-        raise ValueError("coefficients do not match (n, k)")
-    _check_shape(f, space)
-    rows, _ = _expansion_rows(f.table[None], point_counts(sample, space)[None],
-                              sample.n, space)
-    return float(rows[0] @ coeffs.values)
 
 
 def validate_expansion(coeffs: ExpansionCoefficients, space: ProbabilitySpace,

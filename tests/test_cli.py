@@ -1,5 +1,9 @@
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,32 @@ def test_successful_run_writes_both_files(tmp_path):
     assert report["config"]["experiment"] == "sup_tail"
     assert report["seed"] == 11
     assert "version" in report and "wall_clock_seconds" in report
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_example_runs_as_a_module(tmp_path):
+    # the README's json example, found as the CI console-script step finds it,
+    # runs in a fresh interpreter from the source tree; a bad seed exits 2
+    readme = (ROOT / "README.md").read_text()
+    cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def empint_run(cfg, out):
+        path = _write(tmp_path, cfg, f"{out}.json")
+        return subprocess.run([sys.executable, "-m", "empint.cli", "run", path,
+                               "--out", str(tmp_path / out)],
+                              env=env, capture_output=True, text=True)
+
+    done = empint_run(cfg, "out")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "curve.csv").stat().st_size > 0
+    assert (tmp_path / "out" / "report.json").stat().st_size > 0
+    bad = empint_run(dict(cfg, seed=-1), "bad")
+    assert bad.returncode == 2
+    assert bad.stderr == "config error: seed: must lie in [0, 2^64)\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_identical_config_twice_is_byte_identical(tmp_path):
@@ -742,6 +772,17 @@ def test_counterexample_too_big_to_tabulate_writes_nothing(tmp_path, capsys):
     assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
     assert capsys.readouterr().err == \
         "config error: grid: 39999 intervals x 20000 cells exceed 2^27 entries\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_random_canonical_family_too_big_to_tabulate_writes_nothing(tmp_path, capsys):
+    # 2,049 kernels of 16^4 cells are refused before the first is drawn
+    cfg = _base_cfg(k=4, space={"points": 16, "weights": "uniform"},
+                    family={"kind": "random-canonical", "count": 2049,
+                            "kernel_seed": 3})
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == \
+        "config error: family.count: 2049 kernels x 65536 cells exceed 2^27 entries\n"
     assert not (tmp_path / "out").exists()
 
 

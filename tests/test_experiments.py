@@ -40,7 +40,6 @@ def test_tail_curve_from_maxima():
     assert np.allclose(curve.probs, [1.0, 0.5, 0.25, 0.0])
     assert np.all(np.diff(curve.probs) <= 0)
     assert np.all((curve.probs >= 0) & (curve.probs <= 1))
-    assert np.all(curve.wilson_halfwidths >= 0)
     assert np.all(curve.ci_lo <= curve.probs + 1e-12)
     assert np.all(curve.ci_hi >= curve.probs - 1e-12)
 

@@ -350,13 +350,6 @@ def test_subfamily_inheritance():
             assert len(net) <= sub.D * eps ** (-sub.L)
 
 
-def test_family_growth_condition():
-    fam = interval_family(0.5, 8)
-    fam.beta = 1.0
-    assert fam.check_budget(n=10)
-    assert not fam.check_budget(n=3)
-
-
 # --- the pairwise-distinct mask ---------------------------------------------
 
 @pytest.mark.parametrize("m", range(1, 6))

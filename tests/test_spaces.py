@@ -44,11 +44,6 @@ def test_space_rejects_bad_sum():
         ProbabilitySpace(np.array([0.5, 0.4]))
 
 
-def test_min_atom():
-    sp = finite_space([0.2, 0.3, 0.5])
-    assert sp.min_atom == pytest.approx(0.2)
-
-
 def test_draw_sample_deterministic():
     sp = uniform_space(4)
     a = draw_sample(sp, 100, seed=7, stream_id=3)

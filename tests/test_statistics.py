@@ -19,7 +19,7 @@ from empint.statistics import (HOLDOUT_STREAMS, STREAMS_PER_DRAW,
                                enumerate_configurations,
                                exact_decoupled_second_moment,
                                exact_u_statistic_moment, h_integral,
-                               j_from_expansion, mirrored_contrast,
+                               mirrored_contrast,
                                multiple_integral_j, ordered_distinct_tuple_count,
                                u_statistic, validate_expansion)
 
@@ -416,15 +416,12 @@ def test_expansion_heldout_validation():
     sp = uniform_space(16)
     c = derive_expansion_coefficients(6, 2, sp, trials=30, seed=9)
     assert validate_expansion(c, sp, pairs=20, seed=9) < 1e-8
-
-
-def test_j_from_expansion_shape_check():
-    sp = uniform_space(16)
-    c = derive_expansion_coefficients(5, 2, sp, trials=30, seed=7)
-    f = _random_kernel(16, 2, 7)
-    s = draw_sample(sp, 6, seed=7)  # wrong n
-    with pytest.raises(ValueError):
-        j_from_expansion(f, s, sp, c)
+    # exact also with an atom of zero weight, as the expansion is built from
+    # the diagonal-free kernel
+    sp = EXPANSION_SPACES["atom"]
+    for k in (1, 2, 3):
+        c = derive_expansion_coefficients(5, k, sp, trials=30, seed=3)
+        assert validate_expansion(c, sp, pairs=20, seed=3) < 1e-8
 
 
 def test_expansion_rejects_too_few_trials():
@@ -555,14 +552,3 @@ def test_expansion_payload_does_not_depend_on_the_stack_size(monkeypatch):
         np.testing.assert_allclose(values, default[0], rtol=1e-14, atol=1e-14)
         assert residual == pytest.approx(default[1], abs=1e-14)
         assert holdout == pytest.approx(default[2], abs=1e-14)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_j_from_expansion_equals_j(k):
-    sp = EXPANSION_SPACES["atom"]
-    c = derive_expansion_coefficients(5, k, sp, trials=30, seed=3)
-    for t in range(5):
-        f = _random_kernel(sp.m, k, 100 + t)
-        s = draw_sample(sp, 5, seed=3, stream_id=t)
-        assert j_from_expansion(f, s, sp, c) == pytest.approx(
-            multiple_integral_j(f, s, sp), rel=1e-9, abs=1e-12)
