@@ -4,9 +4,8 @@ Rademacher chaos enumeration, chaining schedules and Monte Carlo probes."""
 
 __version__ = "0.1.0"
 
-from .spaces import (InvalidArgument, ProbabilitySpace, Sample,
-                     DiscreteMeasure, finite_space, uniform_space, draw_sample,
-                     empirical_measure, signed_increment, stream_rng)
+from .spaces import (InvalidArgument, ProbabilitySpace, finite_space,
+                     uniform_space, draw_sample, signed_increment, stream_rng)
 from .kernels import (KernelFunction, FunctionFamily, ExplicitFamily,
                       BoxRestrictionFamily, BudgetExceeded, EpsilonNet,
                       epsilon_net, interval_family, l2_norm,
@@ -17,8 +16,8 @@ from .decomposition import (HoeffdingDecomposition, canonicalize,
 from .statistics import (DegenerateSample, ExpansionCoefficients,
                          ResidualTooLarge, SampleDraw,
                          derive_expansion_coefficients, draw_bundle,
-                         h_integral, mirrored_contrast,
-                         multiple_integral_j, u_statistic, validate_expansion)
+                         mirrored_contrast, multiple_integral_j, u_statistic,
+                         validate_expansion)
 from .chaos import (ChaosCoefficients, EnumerationRefused, chaos_moment_bound,
                     chaos_s, chaos_tail_bound, chaos_value,
                     chaos_values_all_signs, exact_chaos_moment,

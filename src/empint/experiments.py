@@ -79,13 +79,13 @@ def statistic_weights(kind: str, draw: SampleDraw, space: ProbabilitySpace,
     if kind == "J":
         w = increment_weights(draw.base, space, k)
     elif kind == "I":
-        w = distinct_weights([draw.base.values] * k, space.m)
+        w = distinct_weights([draw.base] * k, space.m)
     elif kind == "randomized-I":
-        w = distinct_weights([draw.base.values] * k, space.m, draw.signs)
+        w = distinct_weights([draw.base] * k, space.m, draw.signs)
     elif kind == "decoupled-I":
-        w = distinct_weights([s.values for s in draw.decoupled], space.m)
+        w = distinct_weights(draw.decoupled, space.m)
     elif kind == "increment":
-        w = signed_increment(draw.base, space).weights
+        w = signed_increment(draw.base, space)
     else:
         raise ValueError(f"unknown statistic kind {kind!r}")
     return w.ravel()
@@ -297,5 +297,5 @@ def exponent_fit(curve: TailCurve):
 def conditional_chaos_coefficients(f, draw: SampleDraw) -> ChaosCoefficients:
     """Chaos coefficients a(j_1..j_k) = f(xi_{j_1,1},..,xi_{j_k,k}) / k!
     over ordered distinct index tuples of a fixed draw; zeros are dropped."""
-    cols = [draw.decoupled[s].values for s in range(f.k)]
-    return ChaosCoefficients.from_dense(f.table[np.ix_(*cols)] / factorial(f.k))
+    cols = np.ix_(*draw.decoupled[:f.k])
+    return ChaosCoefficients.from_dense(f.table[cols] / factorial(f.k))

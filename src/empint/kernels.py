@@ -82,7 +82,7 @@ def l2_norm(f: KernelFunction, space: ProbabilitySpace) -> float:
 def product_weights(nu, k: int, m: int) -> np.ndarray:
     """Flattened k-fold product of a base-space probability vector.
 
-    nu is a ProbabilitySpace, a DiscreteMeasure or an array of m weights;
+    nu is a ProbabilitySpace or an array of m weights;
     each must be finite, >= -1e-15 and sum to 1 within 1e-9.
     """
     w = np.asarray(getattr(nu, "weights", nu), dtype=float)
@@ -295,8 +295,6 @@ class BoxRestrictionFamily(FunctionFamily):
 @dataclass
 class EpsilonNet:
     member_indices: list
-    epsilon: float
-    nu: object
     cover_radius: float  # always epsilon: a maximal packing covers at its radius
 
     def __len__(self):
@@ -344,7 +342,5 @@ def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> EpsilonNet:
         raise BudgetExceeded(len(net_uids), allowed)
     return EpsilonNet(
         member_indices=[int(first_member[u]) for u in net_uids],
-        epsilon=epsilon,
-        nu=nu,
         cover_radius=epsilon,
     )

@@ -6,7 +6,7 @@ and independent replicas can be generated in parallel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -86,36 +86,6 @@ class ProbabilitySpace:
         return idx
 
 
-@dataclass(frozen=True)
-class Sample:
-    """n i.i.d. draws from a space, reproducible from (seed, stream_id)."""
-
-    values: np.ndarray
-    source_seed: int
-    stream_id: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
-        object.__setattr__(self, "values", v)
-        v.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Weights per point index; may be signed (e.g. the increment mu_n - mu)."""
-
-    weights: np.ndarray = field()
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        w.setflags(write=False)
-
-
 def finite_space(weights) -> ProbabilitySpace:
     """Normalize a finite nonnegative weight vector into a ProbabilitySpace."""
     w = np.asarray(weights, dtype=float)
@@ -136,31 +106,29 @@ def stream_rng(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def draw_sample(space: ProbabilitySpace, n: int, seed: int, stream_id: int = 0) -> Sample:
-    """n i.i.d. draws by inverse-CDF over the cumulative weights.
+def draw_sample(space: ProbabilitySpace, n: int, seed: int,
+                stream_id: int = 0) -> np.ndarray:
+    """n i.i.d. point indices by inverse-CDF over the cumulative weights, as
+    a read-only int64 array.
 
     Ties in the CDF are broken toward the lower index (searchsorted 'right'),
     so results do not depend on the platform's floating-point quirks.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    u = stream_rng(seed, stream_id).random(n)
-    return Sample(values=space.inverse_cdf(u), source_seed=seed,
-                  stream_id=stream_id)
+    sample = space.inverse_cdf(stream_rng(seed, stream_id).random(n))
+    sample.setflags(write=False)
+    return sample
 
 
-def point_counts(sample: Sample, space: ProbabilitySpace) -> np.ndarray:
-    v = sample.values
-    if v.size and (v.min() < 0 or v.max() >= space.m):
+def point_counts(sample: np.ndarray, space: ProbabilitySpace) -> np.ndarray:
+    if sample.size and (sample.min() < 0 or sample.max() >= space.m):
         raise ValueError("sample contains out-of-range point index")
-    return np.bincount(v, minlength=space.m).astype(float)
+    return np.bincount(sample, minlength=space.m).astype(float)
 
 
-def empirical_measure(sample: Sample, space: ProbabilitySpace) -> DiscreteMeasure:
-    """mu_n: weight of point p is (count of p)/n."""
-    return DiscreteMeasure(point_counts(sample, space) / sample.n)
-
-
-def signed_increment(sample: Sample, space: ProbabilitySpace) -> DiscreteMeasure:
-    """The un-normalized signed measure mu_n - mu (weights sum to 0)."""
-    return DiscreteMeasure(point_counts(sample, space) / sample.n - space.weights)
+def signed_increment(sample: np.ndarray, space: ProbabilitySpace) -> np.ndarray:
+    """The un-normalized signed measure mu_n - mu as read-only weights."""
+    nu = point_counts(sample, space) / sample.size - space.weights
+    nu.setflags(write=False)
+    return nu

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import factorial, perm, prod
+from math import factorial, prod
 
 import numpy as np
 
@@ -21,7 +21,7 @@ import numpy as np
 # under this module's name
 from .decomposition import all_subsets, hoeffding_decompose, hoeffding_parts  # noqa: F401
 from .kernels import KernelFunction, _check_shape, offdiag_mask
-from .spaces import InvalidArgument, ProbabilitySpace, Sample, draw_sample, \
+from .spaces import InvalidArgument, ProbabilitySpace, draw_sample, \
     point_counts, signed_increment, stream_rng
 
 
@@ -74,7 +74,7 @@ class SampleDraw:
     decoupled copy s from b+1+s, mirrored copy s from b+1+k+s and the signs
     from b+1+2k.  A statistic thus opens only the streams it reads."""
 
-    base: Sample = _Drawn()
+    base: np.ndarray = _Drawn()
     decoupled: tuple = _Drawn()
     mirrored: tuple = _Drawn()
     signs: np.ndarray = _Drawn()
@@ -92,7 +92,7 @@ class SampleDraw:
             s.setflags(write=False)
             self.__dict__["signs"] = s
         if self.n is None:
-            object.__setattr__(self, "n", self.base.n)
+            object.__setattr__(self, "n", self.base.size)
         if self.k is None:
             object.__setattr__(self, "k", len(self.decoupled))
 
@@ -127,16 +127,16 @@ def draw_bundle(space: ProbabilitySpace, n: int, k: int, seed: int,
 # ---------------------------------------------------------------------------
 # weight tensors: each statistic of an arity-k kernel f is flat(f) . flat(w)
 
-def increment_weights(sample: Sample, space: ProbabilitySpace, k: int) -> np.ndarray:
+def increment_weights(sample: np.ndarray, space: ProbabilitySpace, k: int) -> np.ndarray:
     """(n^{k/2}/k!) * prod_s nu(x_s), nu = mu_n - mu, on pairwise-distinct
     point tuples and 0 on the point diagonals."""
-    nu = signed_increment(sample, space).weights
+    nu = signed_increment(sample, space)
     w = nu
     for _ in range(k - 1):
         w = np.multiply.outer(w, nu)
     if k > 1:
         w = np.where(offdiag_mask(space.m, k), w, 0.0)
-    return w * (sample.n ** (k / 2) / factorial(k))
+    return w * (sample.size ** (k / 2) / factorial(k))
 
 
 @functools.cache
@@ -188,16 +188,16 @@ def _flat_dot(f: KernelFunction, w: np.ndarray) -> float:
     return float(f.table.ravel() @ w.ravel())
 
 
-def multiple_integral_j(f: KernelFunction, sample: Sample,
+def multiple_integral_j(f: KernelFunction, sample: np.ndarray,
                         space: ProbabilitySpace) -> float:
     """(n^{k/2}/k!) * sum of f * prod(mu_n - mu) over distinct point tuples."""
     _check_shape(f, space)
     return _flat_dot(f, increment_weights(sample, space, f.k))
 
 
-def u_statistic(f: KernelFunction, sample: Sample) -> float:
+def u_statistic(f: KernelFunction, sample: np.ndarray) -> float:
     """(1/k!) * sum of f over ordered distinct index tuples of one sample."""
-    return _flat_dot(f, distinct_weights([sample.values] * f.k, f.m))
+    return _flat_dot(f, distinct_weights([sample] * f.k, f.m))
 
 
 def mirrored_contrast(f: KernelFunction, draw: SampleDraw,
@@ -211,23 +211,10 @@ def mirrored_contrast(f: KernelFunction, draw: SampleDraw,
     """
     signs = draw.signs if randomized else None
     w = sum((-1) ** len(V) * distinct_weights(
-        [(draw.decoupled if s in V else draw.mirrored)[s - 1].values
+        [(draw.decoupled if s in V else draw.mirrored)[s - 1]
          for s in range(1, f.k + 1)], f.m, signs)
         for V in all_subsets(f.k))
     return _flat_dot(f, w)
-
-
-def h_integral(f: KernelFunction, draw: SampleDraw, rho: ProbabilitySpace) -> float:
-    """Integral over the auxiliary space of the squared decoupled statistic
-    of the slices f(.,...,., y), weighted by rho."""
-    k = f.k - 1
-    if k < 1:
-        raise ValueError("f must have arity k+1 with k >= 1")
-    if f.table.shape[-1] != rho.m:
-        raise ValueError("last coordinate of f does not match rho")
-    w = distinct_weights([draw.decoupled[s].values for s in range(k)], f.m)
-    stats = np.tensordot(w, f.table, k)  # one decoupled statistic per y
-    return float(rho.weights @ stats ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +325,15 @@ def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
 
 def validate_expansion(coeffs: ExpansionCoefficients, space: ProbabilitySpace,
                        pairs: int, seed: int) -> float:
-    """Max relative disagreement between J and its expansion on fresh
-    random (kernel, sample) pairs, drawn from streams the fit never opens."""
+    """max |J - sum_r c_r X_r| over fresh random (kernel, sample) pairs, from
+    streams the fit never opens, relative to max |J|: the sup-norm twin of
+    the fit's residual, to which a pair with J = 0 adds only its roundoff."""
     if pairs < 1:
         raise InvalidArgument("pairs", "must be >= 1")
     rows, direct = _expansion_pairs(space, coeffs.n, coeffs.k, pairs, seed,
                                     HOLDOUT_STREAMS)
     via = rows @ coeffs.values
-    return float(np.max(np.abs(direct - via) / np.maximum(np.abs(direct), 1e-12)))
+    return float(np.max(np.abs(direct - via)) / max(np.max(np.abs(direct)), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +352,7 @@ def exact_u_statistic_moment(f: KernelFunction, space: ProbabilitySpace,
     """E[I_{n,k}(f)^power] by exact enumeration of all m^n configurations."""
     total = 0.0
     for values, prob in enumerate_configurations(space, n):
-        sample = Sample(values=values, source_seed=0, stream_id=0)
-        total += prob * u_statistic(f, sample) ** power
+        total += prob * u_statistic(f, values) ** power
     return total
 
 
@@ -374,7 +361,3 @@ def exact_decoupled_second_moment(f: KernelFunction, space: ProbabilitySpace,
     """E[decoupled I^2] by enumerating all k independent copies."""
     return sum(prob * _flat_dot(f, distinct_weights(values.reshape(f.k, n), space.m)) ** 2
                for values, prob in enumerate_configurations(space, f.k * n))
-
-
-def ordered_distinct_tuple_count(n: int, k: int) -> int:
-    return perm(n, k)

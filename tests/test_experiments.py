@@ -11,8 +11,7 @@ from empint.decomposition import canonicalize
 from empint import experiments, spaces, statistics
 from empint.kernels import BoxRestrictionFamily, KernelFunction, \
     interval_family, l2_norm, singleton_family
-from empint.spaces import Sample, draw_sample, finite_space, stream_rng, \
-    uniform_space
+from empint.spaces import draw_sample, finite_space, stream_rng, uniform_space
 from empint.statistics import (STREAMS_PER_DRAW, SampleDraw, distinct_weights,
                                draw_bundle, enumerate_configurations,
                                multiple_integral_j)
@@ -95,8 +94,7 @@ def test_mc_sup_tail_against_exact_enumeration():
     x = 2 * sigma
     exact = 0.0
     for vals, prob in enumerate_configurations(sp, 10):
-        s = Sample(values=vals, source_seed=0, stream_id=0)
-        if abs(multiple_integral_j(f, s, sp)) >= x:
+        if abs(multiple_integral_j(f, vals, sp)) >= x:
             exact += prob
     fam = singleton_family(f, sigma=1.0)
     curve = mc_sup_tail(fam, sp, 10, 1, "J", [x], 4000, seed=33)
@@ -419,7 +417,7 @@ def test_exponent_fit_too_few_points():
 
 def _randomized_decoupled(f, draw):
     """Decoupled U-statistic with each term weighted by its row signs."""
-    cols = [draw.decoupled[s].values for s in range(f.k)]
+    cols = [draw.decoupled[s] for s in range(f.k)]
     w = distinct_weights(cols, f.m, draw.signs)
     return float(f.table.ravel() @ w.ravel())
 
@@ -462,7 +460,7 @@ def _conditional_chaos_by_permutations(f, draw):
     k, n = f.k, draw.n
     idx, vals = [], []
     for tup in itertools.permutations(range(n), k):
-        point = tuple(draw.decoupled[s].values[tup[s]] for s in range(k))
+        point = tuple(draw.decoupled[s][tup[s]] for s in range(k))
         idx.append(tup)
         vals.append(f.table[point] / factorial(k))
     return ChaosCoefficients(n=n, k=k,

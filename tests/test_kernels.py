@@ -11,8 +11,8 @@ from empint.kernels import (BoxRestrictionFamily, BudgetExceeded,
                             ExplicitFamily, KernelFunction, epsilon_net,
                             interval_family, l2_norm, offdiag_mask,
                             product_weights, singleton_family, sup_norm)
-from empint.spaces import (DiscreteMeasure, InvalidArgument, finite_space,
-                           stream_rng, uniform_space)
+from empint.spaces import (InvalidArgument, finite_space, stream_rng,
+                           uniform_space)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -389,7 +389,7 @@ def test_product_weights_validates_plain_arrays(nu):
 def test_product_weights_reads_every_input_alike():
     sp = finite_space([0.5, 0.25, 0.25, 0.0])
     want = product_weights(sp, 2, 4)
-    for nu in (sp.weights, list(sp.weights), DiscreteMeasure(sp.weights)):
+    for nu in (sp.weights, list(sp.weights)):
         np.testing.assert_array_equal(product_weights(nu, 2, 4), want)
 
 
