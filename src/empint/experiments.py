@@ -70,12 +70,12 @@ def _member_matrix(family: FunctionFamily) -> np.ndarray:
     return family.unique_tables()[0]
 
 
-def statistic_weights(kind: str, draw: SampleDraw, space: ProbabilitySpace,
-                      k: int) -> np.ndarray:
+def statistic_weights(kind: str, draw: SampleDraw) -> np.ndarray:
     """Flat weight vector so that the statistic of any arity-k kernel f is
     flat(f.table) @ weights.  Besides the sup_tail kinds, "randomized-I" is
     the sign-randomized I (symmetrization) and "increment" the bare signed
     increment mu_n - mu at k=1 (counterexample)."""
+    space, k = draw.space, draw.k
     if kind == "J":
         w = increment_weights(draw.base, space, k)
     elif kind == "I":
@@ -102,7 +102,7 @@ def _sup_block(args):
     for i, r in enumerate(replicas):
         draw = draw_bundle(space, n, k, seed, replica=r)
         for j, kind in enumerate(kinds):
-            v = F @ statistic_weights(kind, draw, space, k)
+            v = F @ statistic_weights(kind, draw)
             out[i, j] = np.max(v) if kind == "increment" else np.max(np.abs(v))
     return out
 
@@ -294,8 +294,9 @@ def exponent_fit(curve: TailCurve):
 # linkage: conditionally on the sample values, the sign-randomized decoupled
 # statistic is a Rademacher chaos in the signs
 
-def conditional_chaos_coefficients(f, draw: SampleDraw) -> ChaosCoefficients:
+def conditional_chaos_coefficients(f, decoupled) -> ChaosCoefficients:
     """Chaos coefficients a(j_1..j_k) = f(xi_{j_1,1},..,xi_{j_k,k}) / k!
-    over ordered distinct index tuples of a fixed draw; zeros are dropped."""
-    cols = np.ix_(*draw.decoupled[:f.k])
+    over ordered distinct index tuples of fixed decoupled copies xi_{.,s};
+    zeros are dropped."""
+    cols = np.ix_(*decoupled[:f.k])
     return ChaosCoefficients.from_dense(f.table[cols] / factorial(f.k))

@@ -42,74 +42,47 @@ EXPANSION_REL_TOL = 1e-8  # largest relative residual of the expansion fit
 EXPANSION_CHUNK_ENTRIES = 2 ** 14
 
 
-class _Drawn:
-    """A SampleDraw field that, when not given, is drawn from its stream on
-    first read and then kept.
-
-    A data descriptor, so the dataclass __init__ (and dataclasses.replace)
-    store given values through __set__; None, the default, means "draw"."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, draw, owner=None):
-        if draw is None:
-            return None
-        if self.name not in draw.__dict__:
-            draw.__dict__[self.name] = draw._draw(self.name)
-        return draw.__dict__[self.name]
-
-    def __set__(self, draw, value):
-        if value is not None:
-            draw.__dict__[self.name] = value
-
-
-@dataclass(frozen=True, kw_only=True, eq=False)
+@dataclass(frozen=True, eq=False)
 class SampleDraw:
     """One Monte Carlo realization: base sample, k decoupled copies, k
     mirrored copies and a Rademacher sign vector, all from one seed.
 
-    Fields not given are drawn from `space` on first read, each from the
-    stream id it always has: base from replica * STREAMS_PER_DRAW = b,
-    decoupled copy s from b+1+s, mirrored copy s from b+1+k+s and the signs
-    from b+1+2k.  A statistic thus opens only the streams it reads."""
+    Each is drawn from `space` on first read and then kept, from the stream
+    id it always has: base from replica * STREAMS_PER_DRAW = b, decoupled
+    copy s from b+1+s, mirrored copy s from b+1+k+s and the signs from
+    b+1+2k.  A statistic thus opens only the streams it reads."""
 
-    base: np.ndarray = _Drawn()
-    decoupled: tuple = _Drawn()
-    mirrored: tuple = _Drawn()
-    signs: np.ndarray = _Drawn()
+    space: ProbabilitySpace = field(repr=False)
+    n: int
+    k: int
     seed: int
     replica: int
-    n: int = None  # from base when not given
-    k: int = None  # from decoupled when not given
-    space: ProbabilitySpace = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if "signs" in self.__dict__:
-            s = np.asarray(self.signs, dtype=float)
-            if not np.all(np.abs(s) == 1.0):
-                raise ValueError("signs must be exactly +/-1")
-            s.setflags(write=False)
-            self.__dict__["signs"] = s
-        if self.n is None:
-            object.__setattr__(self, "n", self.base.size)
-        if self.k is None:
-            object.__setattr__(self, "k", len(self.decoupled))
+    def _stream(self, offset: int) -> int:
+        return self.replica * STREAMS_PER_DRAW + offset
 
-    def _draw(self, name: str):
-        if self.space is None:
-            raise ValueError(f"{name} was not given and there is no space to draw it from")
-        base_id = self.replica * STREAMS_PER_DRAW
-        if name == "base":
-            return draw_sample(self.space, self.n, self.seed, base_id)
-        if name == "signs":
-            u = stream_rng(self.seed, base_id + 1 + 2 * self.k).random(self.n)
-            signs = np.where(u < 0.5, -1.0, 1.0)
-            signs.setflags(write=False)
-            return signs
-        first = base_id + 1 + (self.k if name == "mirrored" else 0)
-        return tuple(draw_sample(self.space, self.n, self.seed, first + s)
+    def _copies(self, offset: int) -> tuple:
+        return tuple(draw_sample(self.space, self.n, self.seed, self._stream(offset + s))
                      for s in range(self.k))
+
+    @functools.cached_property
+    def base(self) -> np.ndarray:
+        return draw_sample(self.space, self.n, self.seed, self._stream(0))
+
+    @functools.cached_property
+    def decoupled(self) -> tuple:
+        return self._copies(1)
+
+    @functools.cached_property
+    def mirrored(self) -> tuple:
+        return self._copies(1 + self.k)
+
+    @functools.cached_property
+    def signs(self) -> np.ndarray:
+        u = stream_rng(self.seed, self._stream(1 + 2 * self.k)).random(self.n)
+        signs = np.where(u < 0.5, -1.0, 1.0)
+        signs.setflags(write=False)
+        return signs
 
 
 def draw_bundle(space: ProbabilitySpace, n: int, k: int, seed: int,
@@ -121,7 +94,7 @@ def draw_bundle(space: ProbabilitySpace, n: int, k: int, seed: int,
         raise ValueError("k out of supported range")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return SampleDraw(seed=seed, replica=replica, n=n, k=k, space=space)
+    return SampleDraw(space, n, k, seed, replica)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +132,7 @@ def distinct_weights(cols, m: int, signs=None) -> np.ndarray:
     """Tensor w over point tuples with flat(f) . flat(w) equal to (1/k!) times
     the sum over ordered distinct index tuples (j_1..j_k) of
     f(cols[0][j_1], ..., cols[k-1][j_k]), each term weighted by the product
-    of signs[j_s] when signs are given.
+    of signs[j_s] when signs are given; each sign must be exactly +/-1.
 
     Inclusion-exclusion over set partitions of the coordinates: indices in
     one block coincide, so a block contributes the joint counts of its
@@ -169,6 +142,8 @@ def distinct_weights(cols, m: int, signs=None) -> np.ndarray:
     n = len(cols[0])
     if n < k:
         raise DegenerateSample("n", "must be >= k")
+    if signs is not None and not np.all(np.abs(signs) == 1.0):
+        raise ValueError("signs must be exactly +/-1")
     counts = {}
     w = np.zeros((m,) * k)
     for blocks, mobius in _partitions(k):
@@ -200,18 +175,17 @@ def u_statistic(f: KernelFunction, sample: np.ndarray) -> float:
     return _flat_dot(f, distinct_weights([sample] * f.k, f.m))
 
 
-def mirrored_contrast(f: KernelFunction, draw: SampleDraw,
-                      randomized: bool = False) -> float:
+def mirrored_contrast(f: KernelFunction, decoupled, mirrored, signs=None) -> float:
     """Alternating-sign sum over coordinate subsets V of decoupled
-    U-statistics that read coordinate s from the decoupled copy if s is in V
-    and from the mirrored copy otherwise; optionally sign-randomized.
+    U-statistics that read coordinate s from decoupled copy s if s is in V
+    and from mirrored copy s otherwise, each term weighted by the product of
+    its row signs when signs are given.
 
-    The randomized and plain versions have identical joint distributions,
+    The sign-weighted and plain versions have identical joint distributions,
     which the exhaustive micro-tests check.
     """
-    signs = draw.signs if randomized else None
     w = sum((-1) ** len(V) * distinct_weights(
-        [(draw.decoupled if s in V else draw.mirrored)[s - 1]
+        [(decoupled if s in V else mirrored)[s - 1]
          for s in range(1, f.k + 1)], f.m, signs)
         for V in all_subsets(f.k))
     return _flat_dot(f, w)

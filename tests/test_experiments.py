@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import types
 from math import factorial
 
 import numpy as np
@@ -12,7 +13,7 @@ from empint import experiments, spaces, statistics
 from empint.kernels import BoxRestrictionFamily, KernelFunction, \
     interval_family, l2_norm, singleton_family
 from empint.spaces import draw_sample, finite_space, stream_rng, uniform_space
-from empint.statistics import (STREAMS_PER_DRAW, SampleDraw, distinct_weights,
+from empint.statistics import (STREAMS_PER_DRAW, distinct_weights,
                                draw_bundle, enumerate_configurations,
                                multiple_integral_j)
 from empint.experiments import (TailCurve, TooFewQualifyingPoints,
@@ -125,7 +126,7 @@ def test_supremum_over_unique_tables_equals_full_member_matrix(k, kinds):
     for r in range(25):
         draw = draw_bundle(sp, 30, k, 41, replica=r)
         for kind in kinds:
-            w = statistic_weights(kind, draw, sp, k)
+            w = statistic_weights(kind, draw)
             if kind == "increment":
                 assert np.max(unique @ w) == np.max(full @ w)
             else:
@@ -213,11 +214,12 @@ def _eager_draw(space, n, k, seed, replica):
     """Every field of a replica drawn up front on its documented stream id."""
     b = replica * STREAMS_PER_DRAW
     u = stream_rng(seed, b + 1 + 2 * k).random(n)
-    return SampleDraw(
+    return types.SimpleNamespace(
+        space=space, k=k,
         base=draw_sample(space, n, seed, b),
         decoupled=tuple(draw_sample(space, n, seed, b + 1 + s) for s in range(k)),
         mirrored=tuple(draw_sample(space, n, seed, b + 1 + k + s) for s in range(k)),
-        signs=np.where(u < 0.5, -1.0, 1.0), seed=seed, replica=replica)
+        signs=np.where(u < 0.5, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("k, kind", [(1, "J"), (1, "I"), (2, "J"), (2, "I"),
@@ -232,7 +234,7 @@ def test_mc_sup_tail_equals_eager_stream_reference(k, kind):
     n, reps, seed = 40, 60, 19
     F = _member_matrix(fam)
     maxima = np.array([
-        np.max(np.abs(F @ statistic_weights(kind, _eager_draw(sp, n, k, seed, r), sp, k)))
+        np.max(np.abs(F @ statistic_weights(kind, _eager_draw(sp, n, k, seed, r))))
         for r in range(reps)])
     grid = np.unique(maxima)  # every replication's maximum is a grid point
     curve = mc_sup_tail(fam, sp, n, k, kind, grid, reps, seed)
@@ -415,10 +417,10 @@ def test_exponent_fit_too_few_points():
 
 # --- linkage to Rademacher chaos ------------------------------------------
 
-def _randomized_decoupled(f, draw):
+def _randomized_decoupled(f, draw, signs):
     """Decoupled U-statistic with each term weighted by its row signs."""
     cols = [draw.decoupled[s] for s in range(f.k)]
-    w = distinct_weights(cols, f.m, draw.signs)
+    w = distinct_weights(cols, f.m, signs)
     return float(f.table.ravel() @ w.ravel())
 
 
@@ -427,11 +429,10 @@ def test_conditional_statistic_is_a_chaos():
     for k in (1, 2):
         draw = draw_bundle(sp, 6, k, seed=13)
         f = KernelFunction(np.random.default_rng(13).standard_normal((3,) * k))
-        coeffs = conditional_chaos_coefficients(f, draw)
+        coeffs = conditional_chaos_coefficients(f, draw.decoupled)
         for bits in itertools.islice(itertools.product((-1.0, 1.0), repeat=6), 16):
-            d = dataclasses.replace(draw, signs=np.array(bits))
             from empint.chaos import chaos_value
-            assert _randomized_decoupled(f, d) == pytest.approx(
+            assert _randomized_decoupled(f, draw, np.array(bits)) == pytest.approx(
                 chaos_value(coeffs, np.array(bits)), abs=1e-10)
 
 
@@ -442,11 +443,10 @@ def test_conditional_tail_matches_exact_enumeration():
     n, k = 8, 2
     draw = draw_bundle(sp, n, k, seed=14)
     f = KernelFunction(np.random.default_rng(14).standard_normal((3, 3)))
-    coeffs = conditional_chaos_coefficients(f, draw)
+    coeffs = conditional_chaos_coefficients(f, draw.decoupled)
     values = []
     for bits in itertools.product((-1.0, 1.0), repeat=n):
-        d = dataclasses.replace(draw, signs=np.array(bits))
-        values.append(abs(_randomized_decoupled(f, d)))
+        values.append(abs(_randomized_decoupled(f, draw, np.array(bits))))
     values = np.array(values)
     for x in (0.0, 0.2, 0.5, 1.0):
         direct = float(np.count_nonzero(values > x)) / values.size
@@ -475,7 +475,7 @@ def test_conditional_chaos_equals_permutation_loop(k, n):
     table = np.random.default_rng(k).standard_normal((3,) * k)
     table[np.random.default_rng(k + 10).random(table.shape) < 0.3] = 0.0
     f = KernelFunction(table)
-    got = conditional_chaos_coefficients(f, draw)
+    got = conditional_chaos_coefficients(f, draw.decoupled)
     ref = _conditional_chaos_by_permutations(f, draw)
     nonzero = ref.values != 0.0
     assert 0 < nonzero.sum() < ref.values.size  # the zero-dropping is exercised

@@ -1,17 +1,26 @@
-"""Every empint name the benchmark's hooks wrap or call still exists.
+"""Every empint name the benchmark's hooks wrap or call still exists, and
+the trace hooks fire on a real run.
 
 perfbench/traced.py wraps module attributes by name and perfbench/probe.py
 calls the package's constructors, so a rename in empint would otherwise
 surface only in the benchmark's own smoke test.  Both files are parsed with
-`ast`, never imported: traced.py's `instrument` monkeypatches empint.
+`ast`, never imported: traced.py's `instrument` monkeypatches empint, so the
+traced runs below are subprocesses.
 """
 import ast
+import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 HOOK_FILES = ("traced.py", "probe.py")
 
 # names a hook must keep reaching, whatever else the scan finds
@@ -93,3 +102,35 @@ def test_scan_flags_a_missing_name():
                        "tracer.span(statistics, 'no_such_function', 'x')\n")
     assert "empint.statistics.no_such_function" in names
     assert not _exists("empint.statistics.no_such_function")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# per smoke workload (12 replications): draw_bundle spans, draw_sample spans,
+# streams opened and uniforms drawn; J at k = 1 reads the base sample of
+# n = 400, decoupled-I at k = 2 the two decoupled copies of n = 64
+TRACE_COUNTS = {"mc_k1_interval": (12, 12, 12, 4800),
+                "mc_k2_box": (12, 24, 24, 1536)}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_COUNTS))
+def test_traced_run_sees_every_draw(name, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_workloads().make_config(name, 7, smoke=True)))
+    trace = tmp_path / "trace.json"
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced.py"), str(config),
+         str(tmp_path / "out"), "1", str(trace)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    data = json.loads(trace.read_text())
+    spans = Counter(span[0] for span in data["spans"])
+    assert (spans["statistics.draw_bundle"], spans["spaces.draw_sample"],
+            data["counts"]["spaces.streams"],
+            data["counts"]["spaces.uniforms"]) == TRACE_COUNTS[name]

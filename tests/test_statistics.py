@@ -12,7 +12,7 @@ from empint.kernels import KernelFunction, offdiag_mask
 from empint.spaces import (draw_sample, finite_space, point_counts,
                            stream_rng, uniform_space)
 from empint.statistics import (HOLDOUT_STREAMS, STREAMS_PER_DRAW,
-                               DegenerateSample, ResidualTooLarge, SampleDraw,
+                               DegenerateSample, ResidualTooLarge,
                                _expansion_chunks, _expansion_pairs,
                                _partitions,
                                derive_expansion_coefficients,
@@ -193,18 +193,16 @@ def test_decoupled_constant_counts():
 def test_randomized_with_unit_signs_is_decoupled():
     sp = uniform_space(3)
     draw = draw_bundle(sp, 6, 2, seed=10)
-    draw = dataclasses.replace(draw, signs=np.ones(6))
     f = _random_kernel(3, 2, 10)
-    assert _decoupled(f, draw, draw.signs) == pytest.approx(
+    assert _decoupled(f, draw, np.ones(6)) == pytest.approx(
         _decoupled(f, draw), abs=1e-12)
 
 
 def test_randomized_sign_flip_negates_k1():
     sp = uniform_space(3)
     draw = draw_bundle(sp, 6, 1, seed=12)
-    flipped = dataclasses.replace(draw, signs=-draw.signs)
     f = _random_kernel(3, 1, 12)
-    assert _decoupled(f, flipped, flipped.signs) == pytest.approx(
+    assert _decoupled(f, draw, -draw.signs) == pytest.approx(
         -_decoupled(f, draw, draw.signs), abs=1e-12)
 
 
@@ -216,8 +214,7 @@ def test_randomized_mean_over_signs_is_zero():
         f = _random_kernel(3, k, 13)
         total = 0.0
         for bits in itertools.product((-1.0, 1.0), repeat=6):
-            d = dataclasses.replace(draw, signs=np.array(bits))
-            total += _decoupled(f, d, d.signs)
+            total += _decoupled(f, draw, np.array(bits))
         assert total / 2 ** 6 == pytest.approx(0.0, abs=1e-10)
 
 
@@ -225,7 +222,7 @@ def test_signs_must_be_unit():
     sp = uniform_space(2)
     draw = draw_bundle(sp, 4, 1, seed=1)
     with pytest.raises(ValueError):
-        dataclasses.replace(draw, signs=np.array([1.0, 0.5, -1.0, 1.0]))
+        distinct_weights([draw.base], sp.m, np.array([1.0, 0.5, -1.0, 1.0]))
 
 
 def test_draw_bundle_reproducible():
@@ -267,24 +264,23 @@ def test_draw_bundle_fields_come_from_their_stream_ids():
 
 def test_draw_bundle_fields_are_kept_and_read_only():
     draw = draw_bundle(uniform_space(3), 6, 2, seed=4)
-    assert draw.base is draw.base and draw.decoupled is draw.decoupled
-    with pytest.raises(ValueError):
-        draw.signs[0] = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        draw.base = draw.decoupled[0]
+    names = ("base", "decoupled", "mirrored", "signs")
+    for name in names:  # before any field is drawn
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(draw, name, np.zeros(6))
+    for name in names:
+        assert getattr(draw, name) is getattr(draw, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(draw, name, draw.decoupled[0])
+    for a in (draw.base, *draw.decoupled, *draw.mirrored, draw.signs):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 def test_draw_bundle_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         draw_bundle(uniform_space(3), 0, 1, seed=1)
-
-
-def test_explicit_draw_without_space_cannot_draw_missing_fields():
-    draw = SampleDraw(base=_sample([0, 1]), decoupled=(_sample([1, 0]),),
-                      signs=np.ones(2), seed=0, replica=0)
-    assert (draw.n, draw.k) == (2, 1)
-    with pytest.raises(ValueError):
-        draw.mirrored
 
 
 # --- exact variance identities --------------------------------------------
@@ -334,14 +330,12 @@ def test_mirrored_contrast_distributional_equality_micro():
     for dec in itertools.product(range(2), repeat=n):
         for mir in itertools.product(range(2), repeat=n):
             prob_base = (0.5 ** n) * (0.5 ** n)
-            draw0 = SampleDraw(base=_sample(dec), decoupled=(_sample(dec),),
-                               mirrored=(_sample(mir),), signs=np.ones(n),
-                               seed=0, replica=0)
-            v = round(mirrored_contrast(f, draw0), 12)
+            decoupled, mirrored = (_sample(dec),), (_sample(mir),)
+            v = round(mirrored_contrast(f, decoupled, mirrored), 12)
             plain[v] = plain.get(v, 0.0) + prob_base
             for bits in itertools.product((-1.0, 1.0), repeat=n):
-                d = dataclasses.replace(draw0, signs=np.array(bits))
-                vr = round(mirrored_contrast(f, d, randomized=True), 12)
+                vr = round(mirrored_contrast(f, decoupled, mirrored,
+                                             np.array(bits)), 12)
                 rand[vr] = rand.get(vr, 0.0) + prob_base * 0.5 ** n
     assert set(plain) == set(rand)
     for v in plain:
@@ -425,7 +419,7 @@ def test_expansion_rejects_degenerate():
 def test_mirrored_contrast_degenerate_sample():
     draw = draw_bundle(uniform_space(3), 1, 2, seed=21)
     with pytest.raises(DegenerateSample):
-        mirrored_contrast(_random_kernel(3, 2, 21), draw)
+        mirrored_contrast(_random_kernel(3, 2, 21), draw.decoupled, draw.mirrored)
 
 
 def test_expansion_holdout_streams_are_disjoint_from_the_fit(monkeypatch):
