@@ -26,8 +26,7 @@ from .chaos import (ChaosCoefficients, EnumerationRefused, chaos_moment_bound,
 from .bounds import (BoundConstants, ChainingSchedule, NotApplicable,
                      chaining_schedule, corollary2_bound, h_integral_level,
                      induction_levels, proposition_level, theorem_bound)
-from .experiments import (CounterexampleResult, DecouplingResult,
-                          SymmetrizationResult, TailCurve,
-                          TooFewQualifyingPoints, counterexample_experiment,
-                          decoupling_experiment, exponent_fit, mc_sup_tail,
-                          symmetrization_experiment, wilson_interval)
+from .experiments import (TailCurve, TooFewQualifyingPoints,
+                          counterexample_experiment, decoupling_experiment,
+                          exponent_fit, mc_sup_tail, symmetrization_experiment,
+                          wilson_interval)

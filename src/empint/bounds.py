@@ -143,15 +143,20 @@ def chaining_schedule(n: int, k: int, sigma: float, x: float, A_bar: float,
         raise InvalidArgument("sigma", "must lie in (0, 1]")
     if not x > 0:
         raise InvalidArgument("x", "must be > 0")
+    if not D > 0:
+        raise InvalidArgument("D", "must be > 0")
+    if not L > 0:
+        raise InvalidArgument("L", "must be > 0")
     if A_bar < 2 ** k:
-        raise NotApplicable("A_bar must be >= 2^k")
+        raise NotApplicable(f"A_bar = {A_bar:g} is below 2^k = {2 ** k}")
+    n_var, least = n * sigma ** 2, (x / sigma) ** (2.0 / k)
+    if n_var < least:
+        raise NotApplicable(f"hypothesis violated: n sigma^2 = {n_var:g} is below "
+                            f"(x/sigma)^(2/k) = {least:g}")
     base = (x / (A_bar * sigma)) ** (2.0 / k)
-    target = n * sigma ** 2 / 2 ** (2.0 - 2.0 / k)
-    if n * sigma ** 2 < (x / sigma) ** (2.0 / k):
-        raise NotApplicable("hypothesis n sigma^2 >= (x/sigma)^{2/k} violated")
+    target = n_var / 2 ** (2.0 - 2.0 / k)
+    # R >= 0: A_bar >= 2^k and the hypothesis give target / base >= 2^(2/k)
     R = floor(log(target / base) / ((4 + 2.0 / k) * log(2.0)))
-    if R < 0:
-        raise NotApplicable("no nonnegative R satisfies the sandwich")
     sigma_bar = 4.0 ** (-R) * sigma
     net_sizes = [int(floor(D * 4.0 ** (p * L) * sigma ** (-L))) for p in range(R + 1)]
     return ChainingSchedule(R=R, sigma=sigma, sigma_bar=sigma_bar,

@@ -154,8 +154,7 @@ def chaos_values_all_signs(coeffs: ChaosCoefficients) -> np.ndarray:
     if n > ENUMERATION_LIMIT:
         raise EnumerationRefused(n)
     c = np.zeros(1 << n)
-    masks = np.bitwise_or.reduce(1 << coeffs.index_tuples.astype(np.int64), axis=1) \
-        if coeffs.values.size else np.array([], dtype=np.int64)
+    masks = np.bitwise_or.reduce(1 << coeffs.index_tuples.astype(np.int64), axis=1)
     np.add.at(c, masks, coeffs.values)
     return _fwht(c)
 

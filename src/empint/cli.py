@@ -200,12 +200,6 @@ def _write_curve(path, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def _curve_payload(curve: TailCurve):
-    return {"x_grid": curve.x_grid.tolist(), "probs": curve.probs.tolist(),
-            "ci_lo": curve.ci_lo.tolist(), "ci_hi": curve.ci_hi.tolist(),
-            "replications": curve.replications}
-
-
 def execute(cfg: dict, workers: int = 1):
     """Run the configured experiment; returns (payload dict, curve rows)."""
     exp = cfg["experiment"]
@@ -217,8 +211,8 @@ def execute(cfg: dict, workers: int = 1):
         sigma = _require(cfg, "sigma", (int, float))
         x = _require(cfg, "x", (int, float))
         A_bar = _require(cfg, "A_bar", (int, float))
-        D = _require(cfg, "D", (int, float), lambda v: v > 0, "must be > 0")
-        L = _require(cfg, "L", (int, float), lambda v: v > 0, "must be > 0")
+        D = _require(cfg, "D", (int, float))
+        L = _require(cfg, "L", (int, float))
         sched = chaining_schedule(n, k, float(sigma), float(x), float(A_bar),
                                   float(D), float(L))
         payload = {"R": sched.R, "sigma_bar": sched.sigma_bar,
@@ -260,23 +254,21 @@ def execute(cfg: dict, workers: int = 1):
         payload = {"S": S, "exact_tail": [[r["x"], r["p"]] for r in rows]}
         return payload, rows
 
-    # Monte Carlo experiments: each picks its curve, one tail overlays the bounds
+    # Monte Carlo experiments: each returns its record and the one tail that
+    # overlays the bounds
     reps = _require(cfg, "reps", int)
     k = 1 if exp == "counterexample" else _require(
         cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
     with _section("constants"):
         consts = BoundConstants.from_dict(k, cfg.get("constants"))
     if exp == "counterexample":
-        sigma = _require(cfg, "sigma", (int, float))
+        sigma = float(_require(cfg, "sigma", (int, float)))
         eps = _require(cfg, "epsilon", (int, float))
         grid = _require(cfg, "grid", int, default=None)
-        res = counterexample_experiment(float(sigma), n, float(eps), reps,
-                                        seed, grid=grid, workers=workers)
-        payload = {"x_star": res.x_star, "x_low": res.x_low, "p_low": res.p_low,
-                   "x_high": res.x_high, "p_high": res.p_high,
-                   "grid": res.grid, "replications": reps}
-        return payload, overlay_bounds(res.curve, k, res.sigma,
-                                       *INTERVAL_BUDGET, n, consts)
+        payload, curve = counterexample_experiment(sigma, n, float(eps), reps,
+                                                   seed, grid=grid, workers=workers)
+        return payload, overlay_bounds(curve, k, sigma, *INTERVAL_BUDGET, n,
+                                       consts)
 
     space = _build_space(_require(cfg, "space", dict), "space")
     family = _build_family(_require(cfg, "family", dict), "family", space, k)
@@ -284,28 +276,20 @@ def execute(cfg: dict, workers: int = 1):
         raise ConfigError("family", f"member arity {family.k} does not match k={k}")
 
     if exp == "symmetrization":
-        x = _require(cfg, "x", (int, float), lambda v: v >= 0, "must be >= 0")
-        res = symmetrization_experiment(family, space, n, float(x), reps, seed,
-                                        workers=workers)
-        curve = res.curve
-        payload = {"x": res.x, "lhs": res.lhs, "lhs_interval": list(res.lhs_interval),
-                   "rhs": res.rhs, "rhs_interval": list(res.rhs_interval),
-                   "replications": reps}
+        x = _require(cfg, "x", (int, float))
+        payload, curve = symmetrization_experiment(family, space, n, float(x),
+                                                   reps, seed, workers=workers)
     elif exp == "sup_tail":
         grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
         kind = _require(cfg, "statistic", str, lambda v: v in ("J", "I", "decoupled-I"),
                         "must be J, I or decoupled-I", default="J")
         curve = mc_sup_tail(family, space, n, k, kind, grid, reps, seed,
                             workers=workers)
-        payload = {"curve": _curve_payload(curve), "statistic": kind}
+        payload = {"curve": curve.payload(), "statistic": kind}
     elif exp == "decoupling":
         grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
-        res = decoupling_experiment(family, space, n, k, grid, reps, seed,
-                                    workers=workers)
-        curve = res.coupled
-        payload = {"coupled": _curve_payload(res.coupled),
-                   "decoupled": _curve_payload(res.decoupled),
-                   "ratio": [None if np.isnan(r) else float(r) for r in res.ratio]}
+        payload, curve = decoupling_experiment(family, space, n, k, grid, reps,
+                                               seed, workers=workers)
     else:
         raise ConfigError("experiment", f"unknown experiment {exp!r}")
     # read after the run, so the family's table cache is never shipped to workers

@@ -60,6 +60,12 @@ class TailCurve:
         return cls(x_grid=x_grid, probs=hits / reps, ci_lo=ci[:, 0],
                    ci_hi=ci[:, 1], replications=reps)
 
+    def payload(self) -> dict:
+        """The curve as report.json prints it."""
+        return {"x_grid": self.x_grid.tolist(), "probs": self.probs.tolist(),
+                "ci_lo": self.ci_lo.tolist(), "ci_hi": self.ci_hi.tolist(),
+                "replications": self.replications}
+
 
 # ---------------------------------------------------------------------------
 # per-replication statistic weights: stat(f) = flat(f.table) @ weights
@@ -141,29 +147,21 @@ def mc_sup_tail(family: FunctionFamily, space: ProbabilitySpace, n: int, k: int,
 # ---------------------------------------------------------------------------
 # symmetrization (k = 1)
 
-@dataclass(frozen=True)
-class SymmetrizationResult:
-    x: float
-    lhs: float
-    lhs_interval: tuple
-    rhs: float
-    rhs_interval: tuple
-    replications: int
-    curve: TailCurve  # tail of the plain supremum at x; lhs is read from it
-
-
 def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
                               n: int, x: float, reps: int, seed: int,
-                              workers: int = 1) -> SymmetrizationResult:
+                              workers: int = 1) -> tuple[dict, TailCurve]:
     """Compare P(sup |n^{-1/2} sum f(xi_j)| >= x) with four times the tail of
     its sign-randomized version at x/3.
 
     Members are centered against the space first (the comparison concerns
     canonical families; uncentered members carry a deterministic drift that
-    the sign-randomized side cannot see).
+    the sign-randomized side cannot see).  Returns the record of both sides
+    with their intervals, and the plain tail at x that lhs is read from.
     """
     if family.k != 1:
         raise InvalidArgument("family", "symmetrization needs a k=1 family")
+    if not x >= 0:
+        raise InvalidArgument("x", "must be >= 0")
     F = _member_matrix(family)
     centered = ExplicitFamily([KernelFunction(row) for row in
                               F - (F @ space.weights)[:, None]],
@@ -173,32 +171,23 @@ def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
                        reps, workers) / sqrt(n)
     curve = TailCurve.from_maxima(both[:, 0], [x])
     randomized = TailCurve.from_maxima(both[:, 1], [x / 3.0])
-    return SymmetrizationResult(
-        x=x,
-        lhs=float(curve.probs[0]),
-        lhs_interval=(float(curve.ci_lo[0]), float(curve.ci_hi[0])),
-        rhs=min(1.0, 4.0 * float(randomized.probs[0])),
-        rhs_interval=(min(1.0, 4.0 * float(randomized.ci_lo[0])),
-                      min(1.0, 4.0 * float(randomized.ci_hi[0]))),
-        replications=reps,
-        curve=curve,
-    )
+    rhs = [min(1.0, 4.0 * float(a[0]))
+           for a in (randomized.probs, randomized.ci_lo, randomized.ci_hi)]
+    record = {"x": x, "lhs": float(curve.probs[0]),
+              "lhs_interval": [float(curve.ci_lo[0]), float(curve.ci_hi[0])],
+              "rhs": rhs[0], "rhs_interval": rhs[1:], "replications": reps}
+    return record, curve
 
 
 # ---------------------------------------------------------------------------
 # decoupling (k >= 2), report-only
 
-@dataclass(frozen=True)
-class DecouplingResult:
-    coupled: TailCurve
-    decoupled: TailCurve
-    ratio: np.ndarray  # decoupled prob / coupled prob per grid point (nan-safe)
-
-
 def decoupling_experiment(family: FunctionFamily, space: ProbabilitySpace,
                           n: int, k: int, x_grid, reps: int, seed: int,
-                          workers: int = 1) -> DecouplingResult:
-    """Paired tail curves of sup|I| and sup|decoupled I| on a shared grid.
+                          workers: int = 1) -> tuple[dict, TailCurve]:
+    """Paired tail curves of sup|I| and sup|decoupled I| on a shared grid,
+    with the ratio decoupled / coupled per grid point (None where the coupled
+    tail is 0).  Returns that record and the coupled curve.
 
     Report-only: the universal decoupling constants are not published, so no
     inequality is asserted here."""
@@ -208,33 +197,23 @@ def decoupling_experiment(family: FunctionFamily, space: ProbabilitySpace,
                        workers)
     coupled = TailCurve.from_maxima(both[:, 0], x_grid)
     dec = TailCurve.from_maxima(both[:, 1], x_grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(coupled.probs > 0, dec.probs / coupled.probs, np.nan)
-    return DecouplingResult(coupled=coupled, decoupled=dec, ratio=ratio)
+    ratio = [float(d / c) if c > 0 else None
+             for c, d in zip(coupled.probs, dec.probs)]
+    record = {"coupled": coupled.payload(), "decoupled": dec.payload(),
+              "ratio": ratio}
+    return record, coupled
 
 
 # ---------------------------------------------------------------------------
 # the small-x sharpness counterexample via the uniform empirical process
 
-@dataclass(frozen=True)
-class CounterexampleResult:
-    sigma: float
-    x_star: float
-    x_low: float
-    p_low: float
-    x_high: float
-    p_high: float
-    replications: int
-    grid: int
-    curve: TailCurve  # tail at (x_low, x_high); p_low and p_high are read from it
-
-
 def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
                               seed: int, grid: int | None = None,
-                              workers: int = 1) -> CounterexampleResult:
+                              workers: int = 1) -> tuple[dict, TailCurve]:
     """Sup of the one-sided empirical increment over intervals of length at
     most sigma^2, evaluated just below and just above the threshold
-    x* = sqrt(2 log(1/sigma)) * sigma.
+    x* = sqrt(2 log(1/sigma)) * sigma.  Returns the record of both tails and
+    the curve at (x_low, x_high) they are read from.
 
     The sharpness signature at small sigma is p_low >> p_high."""
     if not 0 < epsilon < 1:
@@ -253,12 +232,10 @@ def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
     x_low = (1 - epsilon) * x_star
     x_high = (1 + epsilon) * x_star
     curve = TailCurve.from_maxima(sups, [x_low, x_high])
-    return CounterexampleResult(
-        sigma=sigma, x_star=x_star,
-        x_low=x_low, p_low=float(curve.probs[0]),
-        x_high=x_high, p_high=float(curve.probs[1]),
-        replications=reps, grid=grid, curve=curve,
-    )
+    record = {"x_star": x_star, "x_low": x_low, "p_low": float(curve.probs[0]),
+              "x_high": x_high, "p_high": float(curve.probs[1]),
+              "grid": grid, "replications": reps}
+    return record, curve
 
 
 # ---------------------------------------------------------------------------

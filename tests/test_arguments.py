@@ -28,6 +28,8 @@ REFUSALS = {
         derive_expansion_coefficients(5, 1, SP, 6, 0), SP, 0, 0)),
     "symmetrization-family": ("family", lambda: symmetrization_experiment(
         K2, SP, 16, 0.5, 10, 0)),
+    "symmetrization-x": ("x", lambda: symmetrization_experiment(
+        K1, SP, 16, -0.3, 10, 0)),
     "decoupling-k": ("k", lambda: decoupling_experiment(K1, SP, 16, 1, [0.5], 10, 0)),
     "counterexample-epsilon": ("epsilon", lambda: counterexample_experiment(
         0.3, 500, 1.0, 10, 0)),
@@ -42,6 +44,8 @@ REFUSALS = {
     "schedule-sigma": ("sigma", lambda: chaining_schedule(
         4096, 1, 1.5, 2.0, 2.0, 4.0, 2.0)),
     "schedule-x": ("x", lambda: chaining_schedule(4096, 1, 0.5, 0.0, 2.0, 4.0, 2.0)),
+    "schedule-D": ("D", lambda: chaining_schedule(4096, 2, 0.5, 3.0, 4.0, -4.0, 2.0)),
+    "schedule-L": ("L", lambda: chaining_schedule(4096, 2, 0.5, 3.0, 4.0, 4.0, -2.0)),
     "interval-grid": ("grid", lambda: interval_family(0.3, 8)),
     "mc_sup_tail-reps": ("reps", lambda: mc_sup_tail(K1, SP, 16, 1, "J", [0.5], 0, 0)),
     "symmetrization-reps": ("reps", lambda: symmetrization_experiment(

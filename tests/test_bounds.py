@@ -1,12 +1,11 @@
 import dataclasses
-from math import exp, factorial, log
+from math import exp, factorial
 
 import numpy as np
 import pytest
 
-from empint.bounds import (BoundConstants, ChainingSchedule, NotApplicable,
-                           chaining_schedule, corollary2_bound, default_alpha,
-                           h_integral_level, induction_levels,
+from empint.bounds import (BoundConstants, NotApplicable, chaining_schedule,
+                           corollary2_bound, h_integral_level, induction_levels,
                            proposition_level, theorem_bound)
 from empint.spaces import stream_rng
 
@@ -144,6 +143,17 @@ def test_schedule_requires_hypothesis():
         chaining_schedule(n=10, k=1, sigma=0.1, x=100.0, A_bar=2.0, D=1.0, L=1.0)
     with pytest.raises(NotApplicable):
         chaining_schedule(n=100, k=2, sigma=0.5, x=1.0, A_bar=1.0, D=1.0, L=1.0)
+
+
+@pytest.mark.parametrize("args, numbers", [
+    ((100, 2, 0.5, 1.0, 1.0, 1.0, 1.0), ["A_bar = 1", "2^k = 4"]),
+    ((10, 1, 0.1, 100.0, 2.0, 1.0, 1.0),
+     ["n sigma^2 = 0.1", "(x/sigma)^(2/k) = 1e+06"])], ids=["A_bar", "hypothesis"])
+def test_schedule_refusal_names_value_and_threshold(args, numbers):
+    with pytest.raises(NotApplicable) as e:
+        chaining_schedule(*args)
+    for number in numbers:
+        assert number in str(e.value)
 
 
 def test_schedule_random_sweep():

@@ -83,6 +83,12 @@ def test_rejects_fractional_index_tuples():
     assert empty.index_tuples.dtype == np.int64
 
 
+def test_empty_chaos_is_zero_at_every_sign_vector():
+    empty = ChaosCoefficients(n=4, k=2, index_tuples=[], values=[])
+    assert np.array_equal(chaos_values_all_signs(empty), np.zeros(16))
+    assert exact_chaos_tail(empty, [-1.0, 0.0]).tolist() == [1.0, 0.0]
+
+
 def test_chaos_audit_repeated_tuple_exits_2(tmp_path, capsys):
     """A tuple listed twice would undercount S and overlay a wrong bound."""
     cfg = {"experiment": "chaos_audit", "seed": 0, "n": 4, "k": 2,

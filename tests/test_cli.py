@@ -10,10 +10,13 @@ import pytest
 
 from empint import chaos, cli
 from empint.bounds import BoundConstants
-from empint.cli import (CURVE_HEADER, ConfigError, _build_family, execute,
+from empint.cli import (CURVE_HEADER, ConfigError, _build_family,
                         load_config, main, overlay_bounds, run)
-from empint.experiments import TailCurve
-from empint.kernels import l2_norm
+from empint.experiments import (TailCurve, counterexample_experiment,
+                                decoupling_experiment, mc_sup_tail,
+                                symmetrization_experiment)
+from empint.kernels import (KernelFunction, interval_family, l2_norm,
+                            singleton_family)
 from empint.spaces import finite_space, uniform_space
 
 
@@ -800,3 +803,47 @@ def test_deeply_nested_list_exits_2(tmp_path, capsys, depth, message):
     assert run(str(path), str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+# --- report.json prints the record the library returns ----------------------
+
+_GRID = np.linspace(0.0, 1.5, 7)  # _base_cfg's x_grid
+_LIBRARY_RUNS = {
+    "symmetrization": (
+        _base_cfg(experiment="symmetrization", x=0.4), interval_family(0.5, 8),
+        lambda fam, workers: symmetrization_experiment(
+            fam, uniform_space(8), 64, 0.4, 100, 11, workers=workers)),
+    "decoupling": (
+        _X_GRID_CONFIGS["decoupling"], singleton_family(KernelFunction(np.eye(3))),
+        lambda fam, workers: decoupling_experiment(
+            fam, uniform_space(3), 8, 2, _GRID, 100, 11, workers=workers)),
+    "counterexample": (
+        _COUNTEREXAMPLE, None,
+        lambda fam, workers: counterexample_experiment(0.3, 500, 0.5, 40, 5,
+                                                       workers=workers)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("experiment", sorted(_LIBRARY_RUNS))
+def test_report_payload_is_the_library_record(tmp_path, experiment, workers):
+    cfg, family, call = _LIBRARY_RUNS[experiment]
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    record, _ = call(family, workers)
+    if family is not None:
+        record["family"] = {"members": len(family),
+                            "unique_tables": int(family.unique_tables()[0].shape[0])}
+    assert json.loads((out / "report.json").read_text())["payload"] == record
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sup_tail_payload_curve_is_the_curve_payload(tmp_path, workers):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, _base_cfg()), "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    curve = mc_sup_tail(interval_family(0.5, 8), uniform_space(8), 64, 1, "J",
+                        _GRID, 100, 11, workers=workers)
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    assert payload["curve"] == curve.payload()

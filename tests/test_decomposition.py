@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,7 +206,7 @@ def test_square_component_sup_bound():
 
 def test_net_preservation_under_q():
     """An eps/2-net maps through f -> Q f / 2 to an eps-net of the image."""
-    from empint.kernels import epsilon_net, ExplicitFamily, product_weights
+    from empint.kernels import epsilon_net
     base = np.zeros(8)
     base[:4] = stream_rng(3, 0).uniform(-1, 1, size=4)
     fam = BoxRestrictionFamily(KernelFunction(base), 8)

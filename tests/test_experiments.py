@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import types
 from math import factorial
@@ -174,16 +173,6 @@ def test_process_pool_is_sized_to_the_blocks(monkeypatch):
     assert np.array_equal(a.probs, b.probs)
 
 
-def _numbers(res):
-    """Every field of an experiment result, curves unpacked into arrays."""
-    out = []
-    for f in dataclasses.fields(res):
-        v = getattr(res, f.name)
-        out += [v.x_grid, v.probs, v.ci_lo, v.ci_hi, v.replications] \
-            if isinstance(v, TailCurve) else [v]
-    return out
-
-
 @pytest.mark.parametrize("experiment", [
     lambda workers: symmetrization_experiment(
         interval_family(0.5, 8), uniform_space(8), 32, 0.3, 30, seed=2,
@@ -195,8 +184,9 @@ def _numbers(res):
                                               workers=workers),
 ], ids=["symmetrization", "decoupling", "counterexample"])
 def test_experiment_worker_independence(experiment):
-    for a, b in zip(_numbers(experiment(1)), _numbers(experiment(3)), strict=True):
-        np.testing.assert_array_equal(a, b)
+    (record1, curve1), (record3, curve3) = experiment(1), experiment(3)
+    assert record3 == record1
+    assert curve3.payload() == curve1.payload()
 
 
 def test_mc_sup_tail_validations():
@@ -293,25 +283,25 @@ def test_experiments_open_only_the_streams_they_read(opened_streams):
 def test_symmetrization_zero_family():
     sp = uniform_space(3)
     fam = singleton_family(KernelFunction(np.zeros(3)))
-    res = symmetrization_experiment(fam, sp, 16, 0.5, 100, seed=4)
-    assert res.lhs == 0.0
-    assert res.rhs == 0.0
+    res, _ = symmetrization_experiment(fam, sp, 16, 0.5, 100, seed=4)
+    assert res["lhs"] == 0.0
+    assert res["rhs"] == 0.0
 
 
 def test_symmetrization_cap_at_x_zero():
     sp = uniform_space(3)
     fam = _canonical_singleton(3, 1, 6, sp)
-    res = symmetrization_experiment(fam, sp, 16, 0.0, 100, seed=6)
-    assert res.lhs == 1.0
-    assert res.rhs == 1.0  # min(1, 4 * 1)
+    res, _ = symmetrization_experiment(fam, sp, 16, 0.0, 100, seed=6)
+    assert res["lhs"] == 1.0
+    assert res["rhs"] == 1.0  # min(1, 4 * 1)
 
 
 def test_symmetrization_population_inequality_with_slack():
     fam = interval_family(0.25, 16)
     sp = uniform_space(16)
-    res = symmetrization_experiment(fam, sp, 1024, 0.35, 2000, seed=7)
+    res, _ = symmetrization_experiment(fam, sp, 1024, 0.35, 2000, seed=7)
     # population inequality plus both confidence slacks
-    assert res.lhs_interval[0] <= res.rhs_interval[1] + 1e-12
+    assert res["lhs_interval"][0] <= res["rhs_interval"][1] + 1e-12
 
 
 def test_symmetrization_rejects_k2():
@@ -326,19 +316,19 @@ def test_symmetrization_rejects_k2():
 def test_decoupling_zero_family():
     sp = uniform_space(3)
     fam = singleton_family(KernelFunction(np.zeros((3, 3))))
-    res = decoupling_experiment(fam, sp, 16, 2, [0.1, 0.5], 50, seed=8)
-    assert np.all(res.coupled.probs == 0.0)
-    assert np.all(res.decoupled.probs == 0.0)
+    res, _ = decoupling_experiment(fam, sp, 16, 2, [0.1, 0.5], 50, seed=8)
+    assert np.all(np.array(res["coupled"]["probs"]) == 0.0)
+    assert np.all(np.array(res["decoupled"]["probs"]) == 0.0)
 
 
 def test_decoupling_deterministic_per_seed():
     sp = uniform_space(4)
     fam = _canonical_singleton(4, 2, 9, sp)
     grid = [0.0, 0.5, 1.0]
-    a = decoupling_experiment(fam, sp, 24, 2, grid, 100, seed=9)
-    b = decoupling_experiment(fam, sp, 24, 2, grid, 100, seed=9)
-    assert np.array_equal(a.coupled.probs, b.coupled.probs)
-    assert np.array_equal(a.decoupled.probs, b.decoupled.probs)
+    a, _ = decoupling_experiment(fam, sp, 24, 2, grid, 100, seed=9)
+    b, _ = decoupling_experiment(fam, sp, 24, 2, grid, 100, seed=9)
+    assert np.array_equal(a["coupled"]["probs"], b["coupled"]["probs"])
+    assert np.array_equal(a["decoupled"]["probs"], b["decoupled"]["probs"])
 
 
 def test_decoupling_product_kernel_fixture():
@@ -346,10 +336,10 @@ def test_decoupling_product_kernel_fixture():
     sp = uniform_space(4)
     g = canonicalize(KernelFunction(np.array([0.9, -0.3, 0.1, -0.7])), sp)
     fam = singleton_family(KernelFunction(np.outer(g.table, g.table)), sigma=1.0)
-    res = decoupling_experiment(fam, sp, 64, 2, [0.0, 0.25, 0.5, 1.0, 2.0],
-                                2000, seed=21)
-    assert np.allclose(res.coupled.probs, [1.0, 0.988, 0.977, 0.9565, 0.913])
-    assert np.allclose(res.decoupled.probs, [1.0, 0.9575, 0.916, 0.8425, 0.7105])
+    res, _ = decoupling_experiment(fam, sp, 64, 2, [0.0, 0.25, 0.5, 1.0, 2.0],
+                                   2000, seed=21)
+    assert np.allclose(res["coupled"]["probs"], [1.0, 0.988, 0.977, 0.9565, 0.913])
+    assert np.allclose(res["decoupled"]["probs"], [1.0, 0.9575, 0.916, 0.8425, 0.7105])
 
 
 def test_decoupling_rejects_k1():
@@ -362,23 +352,23 @@ def test_decoupling_rejects_k1():
 # --- counterexample --------------------------------------------------------
 
 def test_counterexample_deterministic():
-    a = counterexample_experiment(0.3, 500, 0.5, 40, seed=10)
-    b = counterexample_experiment(0.3, 500, 0.5, 40, seed=10)
-    assert a.p_low == b.p_low and a.p_high == b.p_high
+    a, _ = counterexample_experiment(0.3, 500, 0.5, 40, seed=10)
+    b, _ = counterexample_experiment(0.3, 500, 0.5, 40, seed=10)
+    assert a["p_low"] == b["p_low"] and a["p_high"] == b["p_high"]
 
 
 def test_counterexample_thresholds_bracket_x_star():
-    res = counterexample_experiment(0.3, 500, 0.25, 20, seed=11)
-    assert res.x_low == pytest.approx(0.75 * res.x_star)
-    assert res.x_high == pytest.approx(1.25 * res.x_star)
-    assert res.p_low >= res.p_high
+    res, _ = counterexample_experiment(0.3, 500, 0.25, 20, seed=11)
+    assert res["x_low"] == pytest.approx(0.75 * res["x_star"])
+    assert res["x_high"] == pytest.approx(1.25 * res["x_star"])
+    assert res["p_low"] >= res["p_high"]
 
 
 def test_counterexample_weak_separation_at_large_sigma():
     # near sigma = 1 the family is a single large interval; no small-interval
     # effect, so the two probabilities stay comparable
-    res = counterexample_experiment(0.9, 400, 0.5, 60, seed=12)
-    assert 0.0 <= res.p_high <= res.p_low <= 1.0
+    res, _ = counterexample_experiment(0.9, 400, 0.5, 60, seed=12)
+    assert 0.0 <= res["p_high"] <= res["p_low"] <= 1.0
 
 
 def test_counterexample_validations():

@@ -6,7 +6,7 @@ newer one runs the suite.  This checks syntax only, not library APIs: a
 call into the standard library or numpy that 3.10 or numpy 1.24 lacks
 still passes.
 
-It also checks that every name a library module imports is read there.
+It also checks that every name a module or test file imports is read there.
 """
 import ast
 from pathlib import Path
@@ -30,8 +30,7 @@ def test_parses_with_python_310_grammar(path):
 # imported but never read by its module, on purpose: the traced benchmark
 # run wraps statistics.hoeffding_decompose under that module's name
 UNREAD_IMPORTS = {("statistics", "hoeffding_decompose")}
-MODULES = sorted(p for p in (ROOT / "src" / "empint").glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = [p for p in FILES if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
