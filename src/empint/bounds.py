@@ -8,8 +8,9 @@ and nothing downstream treats them as ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial, floor, isfinite, log
+from math import exp, factorial, floor, isfinite, log, log2
 from numbers import Real
+from sys import float_info
 
 import numpy as np
 
@@ -59,6 +60,15 @@ class BoundConstants:
         return cls(k=k, **overrides)
 
 
+def saturating_pow(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0, or inf where the float power
+    overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return float("inf")
+
+
 def theorem_bound(x: float, n: int, k: int, sigma: float, D: float, L: float,
                   beta: float, consts: BoundConstants):
     """Supremum tail bound min(1, C*D*exp(-alpha (x/sigma)^{2/k})) together
@@ -67,7 +77,7 @@ def theorem_bound(x: float, n: int, k: int, sigma: float, D: float, L: float,
         raise ValueError("sigma must lie in (0, 1]")
     if x < 0:
         raise ValueError("x must be >= 0")
-    arg = (x / sigma) ** (2.0 / k)
+    arg = saturating_pow(x / sigma, 2.0 / k)
     bound = min(1.0, consts.C * D * exp(-consts.alpha * arg))
     applicable = (n * sigma ** 2 >= arg
                   >= consts.M * (L + beta + 1) ** 1.5 * log(2.0 / sigma))
@@ -78,7 +88,7 @@ def corollary2_bound(x: float, k: int, consts: BoundConstants) -> float:
     """min(1, C * exp(-alpha x^{2/k})), valid in form for all x >= 0."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    return float(min(1.0, consts.C * exp(-consts.alpha * x ** (2.0 / k))))
+    return float(min(1.0, consts.C * exp(-consts.alpha * saturating_pow(x, 2.0 / k))))
 
 
 def proposition_level(n: int, k: int, sigma: float, A: float):
@@ -101,36 +111,8 @@ def h_integral_level(n: int, k: int, sigma: float, A: float):
     return float(threshold), float(tail)
 
 
-@dataclass(frozen=True)
-class ChainingSchedule:
-    """Multiscale net schedule: resolution drops by 16x in variance per level."""
-
-    R: int
-    sigma: float
-    sigma_bar: float
-    net_sizes: list
-    A_bar: float
-    x: float
-    n: int
-    k: int
-    D: float
-    L: float
-
-    def invariants_hold(self) -> bool:
-        tol = 1e-9  # relative slack for rounding in sigma_bar and x
-        ok = abs(self.sigma_bar ** 2 - 16.0 ** (-self.R) * self.sigma ** 2) \
-            <= tol * self.sigma ** 2
-        for p, m_p in enumerate(self.net_sizes):
-            ok &= m_p <= self.D * 4.0 ** (p * self.L) * self.sigma ** (-self.L) + tol
-        lhs = 64.0 * (self.x / (self.A_bar * self.sigma_bar)) ** (2.0 / self.k)
-        mid = self.n * self.sigma_bar ** 2
-        rhs = (self.x / (self.A_bar * self.sigma)) ** (2.0 / self.k)
-        ok &= lhs >= mid * (1 - tol) and mid >= rhs * (1 - tol)
-        return bool(ok)
-
-
 def chaining_schedule(n: int, k: int, sigma: float, x: float, A_bar: float,
-                      D: float, L: float) -> ChainingSchedule:
+                      D: float, L: float) -> dict:
     """Pick the number of refinement levels R from the sandwich
 
         2^{(4+2/k)(R+1)} (x/(A_bar sigma))^{2/k}
@@ -138,7 +120,8 @@ def chaining_schedule(n: int, k: int, sigma: float, x: float, A_bar: float,
             >= 2^{(4+2/k)R} (x/(A_bar sigma))^{2/k}
 
     and emit sigma_bar^2 = 16^{-R} sigma^2 with the per-level net sizes
-    m_p = floor(D 4^{pL} sigma^{-L})."""
+    m_p = floor(D 4^{pL} sigma^{-L}), and whether the sandwich, sigma_bar
+    and the sizes check out to a relative 1e-9."""
     if not 0 < sigma <= 1:
         raise InvalidArgument("sigma", "must lie in (0, 1]")
     if not x > 0:
@@ -147,21 +130,42 @@ def chaining_schedule(n: int, k: int, sigma: float, x: float, A_bar: float,
         raise InvalidArgument("D", "must be > 0")
     if not L > 0:
         raise InvalidArgument("L", "must be > 0")
-    if A_bar < 2 ** k:
+    if not A_bar >= 2 ** k:
         raise NotApplicable(f"A_bar = {A_bar:g} is below 2^k = {2 ** k}")
-    n_var, least = n * sigma ** 2, (x / sigma) ** (2.0 / k)
+    if not isfinite(A_bar):
+        raise InvalidArgument("A_bar", "must be finite")
+    n_var, least = n * sigma ** 2, saturating_pow(x / sigma, 2.0 / k)
     if n_var < least:
         raise NotApplicable(f"hypothesis violated: n sigma^2 = {n_var:g} is below "
                             f"(x/sigma)^(2/k) = {least:g}")
-    base = (x / (A_bar * sigma)) ** (2.0 / k)
-    target = n_var / 2 ** (2.0 - 2.0 / k)
-    # R >= 0: A_bar >= 2^k and the hypothesis give target / base >= 2^(2/k)
-    R = floor(log(target / base) / ((4 + 2.0 / k) * log(2.0)))
+    # R = floor(log2(middle / lower end at R = 0) / (4 + 2/k)) from logs, as
+    # (x/(A_bar sigma))^{2/k} may underflow; times k the log is exact on
+    # powers of two, ties included.  R >= 0: A_bar >= 2^k and the hypothesis
+    # put the middle at least 2^(2/k) times the lower end
+    k_log_ratio = (k * (log2(n) + 2 * log2(sigma) - 2.0) + 2.0
+                   - 2.0 * (log2(x) - log2(A_bar) - log2(sigma)))
+    R = floor(k_log_ratio / (4 * k + 2))
+    sizes = [D * saturating_pow(4.0, p * L) * saturating_pow(sigma, -L)
+             for p in range(R + 1)]
+    if not isfinite(sizes[-1]):
+        raise NotApplicable(f"net size D 4^(RL) sigma^-L = {sizes[-1]:g} at "
+                            f"R = {R} is not finite")
     sigma_bar = 4.0 ** (-R) * sigma
-    net_sizes = [int(floor(D * 4.0 ** (p * L) * sigma ** (-L))) for p in range(R + 1)]
-    return ChainingSchedule(R=R, sigma=sigma, sigma_bar=sigma_bar,
-                            net_sizes=net_sizes, A_bar=A_bar, x=x, n=n, k=k,
-                            D=D, L=L)
+    if not sigma_bar > 0:
+        raise NotApplicable(f"sigma_bar = 4^-R sigma underflows to 0 at R = {R}")
+    net_sizes = [int(floor(size)) for size in sizes]
+    tol = 1e-9  # relative slack for rounding in sigma_bar and x
+    lhs = 64.0 * (x / (A_bar * sigma_bar)) ** (2.0 / k)
+    mid = n * sigma_bar ** 2
+    rhs = (x / (A_bar * sigma)) ** (2.0 / k)
+    ok = (abs(sigma_bar ** 2 - 16.0 ** (-R) * sigma ** 2) <= tol * sigma ** 2
+          and all(m_p <= size + tol for m_p, size in zip(net_sizes, sizes))
+          and lhs >= mid * (1 - tol) and mid >= rhs * (1 - tol))
+    if not ok and min(sigma_bar ** 2, x / (A_bar * sigma_bar)) < float_info.min:
+        raise NotApplicable(f"the invariants at R = {R} cannot be checked: sigma_bar^2 "
+                            "or x/(A_bar sigma_bar) is below the normal float range")
+    return {"R": R, "sigma_bar": sigma_bar, "net_sizes": net_sizes,
+            "invariants_hold": ok}
 
 
 def induction_levels(n: int, k: int, A0: float) -> list:

@@ -14,6 +14,7 @@ from math import exp, factorial
 
 import numpy as np
 
+from .bounds import saturating_pow
 from .kernels import offdiag_mask
 
 ENUMERATION_LIMIT = 24
@@ -45,6 +46,9 @@ class ChaosCoefficients:
             raise ValueError("index/value length mismatch")
         if not np.all(np.isfinite(vals)):
             raise ValueError("coefficient values must be finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(vals ** 2)):
+                raise ValueError("the sum of squared coefficient values overflows")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError("index out of range")
         if np.any(np.diff(np.sort(idx, axis=1), axis=1) == 0):
@@ -100,7 +104,7 @@ def chaos_tail_bound(x: float, S: float, k: int) -> float:
         return 1.0 if x == 0.0 else 0.0
     B = k / (2 * np.e * factorial(k) ** (1.0 / k))
     C = exp(k)
-    return float(min(1.0, C * exp(-B * (x / S) ** (2.0 / k))))
+    return float(min(1.0, C * exp(-B * saturating_pow(x / S, 2.0 / k))))
 
 
 def chaos_moment_bound(p: float, q: float, k: int, pth_moment: float) -> float:
@@ -123,10 +127,11 @@ def optimal_q_tail(x: float, S: float, k: int):
     """
     if x <= 0 or S <= 0:
         raise ValueError("x and S must be positive")
-    q = (1.0 / (np.e * factorial(k) ** (1.0 / k))) * (x / S) ** (2.0 / k)
+    power = saturating_pow(x / S, 2.0 / k)
+    q = (1.0 / (np.e * factorial(k) ** (1.0 / k))) * power
     if q >= 2:
         B = k / (2 * np.e * factorial(k) ** (1.0 / k))
-        return float(q), float(exp(-B * (x / S) ** (2.0 / k)))
+        return float(q), float(exp(-B * power))
     return float(q), 1.0
 
 

@@ -213,23 +213,17 @@ def execute(cfg: dict, workers: int = 1):
         A_bar = _require(cfg, "A_bar", (int, float))
         D = _require(cfg, "D", (int, float))
         L = _require(cfg, "L", (int, float))
-        sched = chaining_schedule(n, k, float(sigma), float(x), float(A_bar),
-                                  float(D), float(L))
-        payload = {"R": sched.R, "sigma_bar": sched.sigma_bar,
-                   "net_sizes": sched.net_sizes,
-                   "invariants_hold": sched.invariants_hold()}
-        return payload, []
+        return chaining_schedule(n, k, float(sigma), float(x), float(A_bar),
+                                 float(D), float(L)), []
 
     if exp == "expansion_audit":
         k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
         space = _build_space(_require(cfg, "space", dict), "space")
         trials = _require(cfg, "trials", int)
         pairs = _require(cfg, "holdout_pairs", int, lambda v: v >= 1, "must be >= 1")
-        coeffs = derive_expansion_coefficients(n, k, space, trials, seed)
-        worst = validate_expansion(coeffs, space, pairs, seed)
-        payload = {"coefficients": coeffs.values.tolist(),
-                   "residual": coeffs.residual,
-                   "holdout_max_relative_error": worst}
+        payload = derive_expansion_coefficients(n, k, space, trials, seed)
+        payload["holdout_max_relative_error"] = validate_expansion(
+            payload["coefficients"], space, n, pairs, seed)
         return payload, []
 
     if exp == "chaos_audit":

@@ -203,7 +203,7 @@ def interval_family(sigma: float, grid: int) -> ExplicitFamily:
     if not 0 < sigma <= 1:
         raise InvalidArgument("sigma", "must lie in (0, 1]")
     max_cells = int(np.floor(sigma ** 2 * grid + 1e-9))
-    if grid < int(np.ceil(1.0 / sigma ** 2)) or max_cells < 1:
+    if max_cells < 1 or grid < int(np.ceil(1.0 / sigma ** 2)):
         raise InvalidArgument("grid", "too coarse to represent length-sigma^2 "
                                       "intervals")
     count = max_cells * (grid + 1) - max_cells * (max_cells + 1) // 2
@@ -292,17 +292,9 @@ class BoxRestrictionFamily(FunctionFamily):
         return np.where(mask, self.f.table, 0.0).reshape(reps.size, -1), group
 
 
-@dataclass
-class EpsilonNet:
-    member_indices: list
-    cover_radius: float  # always epsilon: a maximal packing covers at its radius
-
-    def __len__(self):
-        return len(self.member_indices)
-
-
-def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> EpsilonNet:
-    """Greedy L2(nu) epsilon-packing of the family, verified as a cover.
+def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> list:
+    """Greedy L2(nu) epsilon-packing of the family, verified as a cover;
+    returns the index of each net element's first member.
 
     Members are scanned in enumeration order; a member joins the net iff its
     distance to every current net member is >= epsilon.  A maximal packing is
@@ -340,7 +332,4 @@ def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> EpsilonNet:
     allowed = family.budget_at(epsilon)
     if len(net_uids) > allowed:
         raise BudgetExceeded(len(net_uids), allowed)
-    return EpsilonNet(
-        member_indices=[int(first_member[u]) for u in net_uids],
-        cover_radius=epsilon,
-    )
+    return [int(first_member[u]) for u in net_uids]

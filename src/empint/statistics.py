@@ -194,19 +194,6 @@ def mirrored_contrast(f: KernelFunction, decoupled, mirrored, signs=None) -> flo
 # ---------------------------------------------------------------------------
 # expansion of J into degenerate U-statistics of the Hoeffding components
 
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    n: int
-    k: int
-    values: np.ndarray  # C(n, k, r) for r = 0..k
-    residual: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        v.setflags(write=False)
-
-
 def _falling_contract(stack: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Per batch entry z, the sum over point tuples x of stack[z, x] times
     prod_j (vec[z, x_j] - #{i < j : x_i = x_j}).
@@ -279,10 +266,10 @@ def _expansion_pairs(space: ProbabilitySpace, n: int, k: int, count: int,
 
 
 def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
-                                  trials: int, seed: int) -> ExpansionCoefficients:
-    """Solve for the coefficients C(n,k,r) by least squares over random
-    (kernel, sample) pairs; the residual doubles as an integration test of
-    J, the U-statistics and the decomposition."""
+                                  trials: int, seed: int) -> dict:
+    """Solve for the coefficients C(n,k,r), r = 0..k, by least squares over
+    random (kernel, sample) pairs; the relative residual doubles as an
+    integration test of J, the U-statistics and the decomposition."""
     if trials < 3 * (k + 1):
         raise InvalidArgument("trials", f"must be >= 3*(k+1) = {3 * (k + 1)}")
     rows, targets = _expansion_pairs(space, n, k, trials, seed, 0)
@@ -294,19 +281,22 @@ def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
                      / max(np.linalg.norm(targets), 1e-300))
     if residual > EXPANSION_REL_TOL:
         raise ResidualTooLarge(f"relative residual {residual:.3e} > {EXPANSION_REL_TOL:g}")
-    return ExpansionCoefficients(n=n, k=k, values=coeffs, residual=residual)
+    return {"coefficients": coeffs.tolist(), "residual": residual}
 
 
-def validate_expansion(coeffs: ExpansionCoefficients, space: ProbabilitySpace,
+def validate_expansion(coefficients, space: ProbabilitySpace, n: int,
                        pairs: int, seed: int) -> float:
-    """max |J - sum_r c_r X_r| over fresh random (kernel, sample) pairs, from
-    streams the fit never opens, relative to max |J|: the sup-norm twin of
-    the fit's residual, to which a pair with J = 0 adds only its roundoff."""
+    """max |J - sum_r c_r X_r| over fresh random (kernel, sample) pairs of
+    order k = len(coefficients) - 1, from streams the fit never opens,
+    relative to max |J|: the sup-norm twin of the fit's residual, to which a
+    pair with J = 0 adds only its roundoff."""
+    if len(coefficients) < 2:
+        raise InvalidArgument("coefficients", "must hold C(n,k,r) for r = 0..k, k >= 1")
     if pairs < 1:
         raise InvalidArgument("pairs", "must be >= 1")
-    rows, direct = _expansion_pairs(space, coeffs.n, coeffs.k, pairs, seed,
+    rows, direct = _expansion_pairs(space, n, len(coefficients) - 1, pairs, seed,
                                     HOLDOUT_STREAMS)
-    via = rows @ coeffs.values
+    via = rows @ np.asarray(coefficients, dtype=float)
     return float(np.max(np.abs(direct - via)) / max(np.max(np.abs(direct)), 1e-300))
 
 

@@ -25,7 +25,9 @@ REFUSALS = {
     "expansion-n": ("n", lambda: derive_expansion_coefficients(2, 3, SP, 20, 0)),
     "expansion-trials": ("trials", lambda: derive_expansion_coefficients(5, 2, SP, 8, 0)),
     "holdout-pairs": ("pairs", lambda: validate_expansion(
-        derive_expansion_coefficients(5, 1, SP, 6, 0), SP, 0, 0)),
+        derive_expansion_coefficients(5, 1, SP, 6, 0)["coefficients"], SP, 5, 0, 0)),
+    "holdout-coefficients": ("coefficients", lambda: validate_expansion(
+        [1.0], SP, 5, 10, 0)),
     "symmetrization-family": ("family", lambda: symmetrization_experiment(
         K2, SP, 16, 0.5, 10, 0)),
     "symmetrization-x": ("x", lambda: symmetrization_experiment(
@@ -46,7 +48,10 @@ REFUSALS = {
     "schedule-x": ("x", lambda: chaining_schedule(4096, 1, 0.5, 0.0, 2.0, 4.0, 2.0)),
     "schedule-D": ("D", lambda: chaining_schedule(4096, 2, 0.5, 3.0, 4.0, -4.0, 2.0)),
     "schedule-L": ("L", lambda: chaining_schedule(4096, 2, 0.5, 3.0, 4.0, 4.0, -2.0)),
+    "schedule-A_bar": ("A_bar", lambda: chaining_schedule(
+        4096, 2, 0.5, 3.0, float("inf"), 4.0, 2.0)),
     "interval-grid": ("grid", lambda: interval_family(0.3, 8)),
+    "interval-grid-tiny-sigma": ("grid", lambda: interval_family(1e-300, 8)),
     "mc_sup_tail-reps": ("reps", lambda: mc_sup_tail(K1, SP, 16, 1, "J", [0.5], 0, 0)),
     "symmetrization-reps": ("reps", lambda: symmetrization_experiment(
         K1, SP, 16, 0.5, 0, 0)),

@@ -51,6 +51,14 @@ def test_theorem_bound_monotone_in_x():
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("x, sigma", [(1e300, 0.5), (0.5, 1e-300)])
+def test_bounds_saturate_where_the_power_overflows(x, sigma):
+    # (x/sigma)^2 overflows at k = 1: both bounds are 0, outside the region
+    c = BoundConstants(k=1)
+    assert theorem_bound(x, 100, 1, sigma, 2.0, 1.0, 0.0, c) == (0.0, False)
+    assert corollary2_bound(x / sigma, 1, c) == 0.0
+
+
 def test_theorem_bound_rejects_bad_sigma():
     with pytest.raises(ValueError):
         theorem_bound(1.0, 10, 1, 1.5, 1.0, 1.0, 0.0, BoundConstants(k=1))
@@ -124,9 +132,9 @@ def test_schedule_identity_at_r0():
     # parameters chosen so that the sandwich holds at R = 0
     sched = chaining_schedule(n=100, k=1, sigma=0.5, x=2.0, A_bar=2.0,
                               D=2.0, L=1.0)
-    assert sched.R == 0
-    assert sched.sigma_bar == pytest.approx(sched.sigma)
-    assert sched.invariants_hold()
+    assert sched["R"] == 0
+    assert sched["sigma_bar"] == pytest.approx(0.5)
+    assert sched["invariants_hold"]
 
 
 def test_schedule_r_monotone_in_n():
@@ -134,8 +142,8 @@ def test_schedule_r_monotone_in_n():
     for n in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
         sched = chaining_schedule(n=n, k=1, sigma=0.5, x=2.0, A_bar=2.0,
                                   D=2.0, L=1.0)
-        assert sched.R >= prev
-        prev = sched.R
+        assert sched["R"] >= prev
+        prev = sched["R"]
 
 
 def test_schedule_requires_hypothesis():
@@ -148,12 +156,33 @@ def test_schedule_requires_hypothesis():
 @pytest.mark.parametrize("args, numbers", [
     ((100, 2, 0.5, 1.0, 1.0, 1.0, 1.0), ["A_bar = 1", "2^k = 4"]),
     ((10, 1, 0.1, 100.0, 2.0, 1.0, 1.0),
-     ["n sigma^2 = 0.1", "(x/sigma)^(2/k) = 1e+06"])], ids=["A_bar", "hypothesis"])
+     ["n sigma^2 = 0.1", "(x/sigma)^(2/k) = 1e+06"]),
+    ((4096, 1, 0.5, 2.0, float("nan"), 4.0, 2.0), ["A_bar = nan", "2^k = 2"]),
+    ((4096, 1, 1e-300, 2.0, 2.0, 4.0, 2.0), ["n sigma^2 = 0", "(x/sigma)^(2/k) = inf"]),
+    ((4096, 1, 0.5, 1e-300, 2.0, 4.0, 2.0), ["= inf", "R = 333"]),
+    ((4096, 1, 0.5, 2.0, 1e300, 4.0, 2.0), ["= inf", "R = 333"]),
+    ((4096, 1, 0.5, 2.0, 2.0, 4.0, 1e300), ["= inf", "R = 1"]),
+    ((1, 1, 1.0, 1e-300, 1e300, 1e-300, 1e-3), ["underflows to 0", "R = 664"]),
+    # x/(A_bar sigma_bar) underflows, so the sandwich check would read false
+    ((1, 5, 1.0, 1e-176, 1e270, 1e-43, 1.0), ["cannot be checked", "R = 134"])],
+    ids=["A_bar", "hypothesis", "A_bar-nan", "sigma-tiny", "x-tiny", "A_bar-huge",
+         "L-huge", "sigma_bar-zero", "sandwich-unchecked"])
 def test_schedule_refusal_names_value_and_threshold(args, numbers):
     with pytest.raises(NotApplicable) as e:
         chaining_schedule(*args)
     for number in numbers:
         assert number in str(e.value)
+
+
+def test_schedule_r_where_the_base_underflows():
+    # (x/(A_bar sigma))^2 underflows to 0 at x = 1e-200; R comes from logs
+    sched = chaining_schedule(4096, 1, 0.5, 1e-200, 2.0, 4.0, 2.0)
+    assert sched["R"] == 223 and sched["invariants_hold"]
+
+
+def test_schedule_r_is_exact_on_powers_of_two():
+    # log2 target/base = 13/3 = 4 + 2/k exactly, so R = 1
+    assert chaining_schedule(64, 6, 2.0 ** -5, 2.0 ** -27, 256.0, 1.0, 1.0)["R"] == 1
 
 
 def test_schedule_random_sweep():
@@ -174,8 +203,8 @@ def test_schedule_random_sweep():
             sched = chaining_schedule(n, k, sigma, x, A_bar, D, L)
         except NotApplicable:
             continue
-        assert sched.invariants_hold()
-        assert len(sched.net_sizes) == sched.R + 1
+        assert sched["invariants_hold"]
+        assert len(sched["net_sizes"]) == sched["R"] + 1
         made += 1
 
 

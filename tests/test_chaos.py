@@ -108,6 +108,11 @@ def test_rejects_non_finite_values(bad):
         _coeffs(4, 2, [[0, 1], [1, 2]], [1.0, bad])
 
 
+def test_rejects_values_whose_sum_of_squares_overflows():
+    with pytest.raises(ValueError, match="sum of squared"):
+        _coeffs(4, 2, [[0, 1], [1, 2]], [1e300, -1.0])
+
+
 def test_chaos_s_examples():
     assert chaos_s(_coeffs(3, 1, np.empty((0, 1), dtype=int), [])) == 0.0
     assert chaos_s(_coeffs(4, 2, [[0, 1]], [3.0])) == pytest.approx(3.0)

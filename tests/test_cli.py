@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from empint import chaos, cli
-from empint.bounds import BoundConstants
+from empint.bounds import BoundConstants, chaining_schedule
 from empint.cli import (CURVE_HEADER, ConfigError, _build_family,
                         load_config, main, overlay_bounds, run)
 from empint.experiments import (TailCurve, counterexample_experiment,
@@ -18,6 +18,7 @@ from empint.experiments import (TailCurve, counterexample_experiment,
 from empint.kernels import (KernelFunction, interval_family, l2_norm,
                             singleton_family)
 from empint.spaces import finite_space, uniform_space
+from empint.statistics import derive_expansion_coefficients, validate_expansion
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -166,6 +167,16 @@ def test_schedule_audit_not_applicable_exits_3(tmp_path, capsys):
            "sigma": 0.1, "x": 50.0, "A_bar": 2.0, "D": 1.0, "L": 1.0}
     assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 3
     assert "numerical check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x, message", [
+    (1e-300, "net size D 4^(RL) sigma^-L = inf at R = 333 is not finite"),
+    (1e300, "(x/sigma)^(2/k) = inf")], ids=["x-tiny", "x-huge"])
+def test_schedule_audit_at_edge_magnitudes_exits_3(tmp_path, capsys, x, message):
+    cfg = {"experiment": "schedule_audit", "seed": 0, "n": 4096, "k": 1,
+           "sigma": 0.5, "x": x, "A_bar": 2.0, "D": 4.0, "L": 2.0}
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_schedule_audit_success(tmp_path):
@@ -376,6 +387,30 @@ def test_audit_payload_matches_pinned_values(tmp_path, cfg, payload):
     assert sorted(got) == sorted(payload)
     for key, want in payload.items():
         assert got[key] == pytest.approx(want, rel=1e-12, abs=1e-12), key
+
+
+def test_audit_payload_is_the_library_record(tmp_path):
+    schedule, expansion = (cfg for cfg, _ in PINNED_PAYLOADS)
+    sp = uniform_space(16)
+    record = derive_expansion_coefficients(5, 2, sp, 30, 7)
+    record["holdout_max_relative_error"] = validate_expansion(
+        record["coefficients"], sp, 5, 10, 7)
+    for cfg, want in ((schedule, chaining_schedule(4096, 2, 0.5, 3.0, 4.0, 4.0, 2.0)),
+                      (expansion, record)):
+        out = tmp_path / cfg["experiment"]
+        assert run(_write(tmp_path, cfg), str(out)) == 0
+        assert json.loads((out / "report.json").read_text())["payload"] == want
+
+
+def test_chaos_bounds_saturate_where_the_power_overflows(tmp_path):
+    """At k=1 and S ~ 1.4e-160, (x/S)^2 overflows at x = 1: both bounds
+    read 0 and the moment regime q >= 2 holds."""
+    cfg = {"experiment": "chaos_audit", "seed": 0, "n": 2, "k": 1,
+           "coefficients": {"index_tuples": [[0], [1]], "values": [1e-160, -1e-160]},
+           "x_grid": [1.0]}
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), str(out)) == 0
+    assert (out / "curve.csv").read_text() == CURVE_HEADER + "\n1,0,0,0,0,0,1\n"
 
 
 @pytest.mark.parametrize("cfg, workers, members, unique", [

@@ -214,7 +214,7 @@ def test_net_preservation_under_q():
     eps = 0.5
     net = epsilon_net(fam, mu, eps / 2)
     w = mu.weights
-    reps = [project_q(fam.member(i), 1, mu).table / 2 for i in net.member_indices]
+    reps = [project_q(fam.member(i), 1, mu).table / 2 for i in net]
     for j in range(len(fam)):
         g = project_q(fam.member(j), 1, mu).table / 2
         d2 = min(float(((g - r) ** 2) @ w) for r in reps)

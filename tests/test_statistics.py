@@ -347,23 +347,23 @@ def test_mirrored_contrast_distributional_equality_micro():
 def test_expansion_k1_coefficients():
     sp = uniform_space(4)
     c = derive_expansion_coefficients(6, 1, sp, trials=10, seed=3)
-    assert c.values[0] == pytest.approx(0.0, abs=1e-10)
-    assert c.values[1] == pytest.approx(1.0, abs=1e-10)
+    assert c["coefficients"][0] == pytest.approx(0.0, abs=1e-10)
+    assert c["coefficients"][1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_expansion_k2_fixture():
     sp = uniform_space(16)
     c = derive_expansion_coefficients(5, 2, sp, trials=30, seed=7)
-    assert c.residual < 1e-8
+    assert c["residual"] < 1e-8
     # regression fixture from the first verified run
-    assert c.values == pytest.approx([-0.5, -1.0 / (2 * sqrt(5)), 1.0], abs=1e-9)
+    assert c["coefficients"] == pytest.approx([-0.5, -1.0 / (2 * sqrt(5)), 1.0], abs=1e-9)
 
 
 def test_expansion_k3_fixture():
     sp = uniform_space(16)
     c = derive_expansion_coefficients(6, 3, sp, trials=40, seed=7)
-    assert c.residual < 1e-8
-    assert c.values[-1] == pytest.approx(1.0, abs=1e-9)
+    assert c["residual"] < 1e-8
+    assert c["coefficients"][-1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_expansion_coefficients_bounded_over_n():
@@ -373,12 +373,12 @@ def test_expansion_coefficients_bounded_over_n():
             if n < k:
                 continue
             c = derive_expansion_coefficients(max(n, k), k, sp, trials=20, seed=5)
-            assert np.max(np.abs(c.values)) < 10.0
+            assert np.max(np.abs(c["coefficients"])) < 10.0
 
 
 def _scaled_top(c):
     """The coefficients c with the top one, c_k, multiplied by 1 + 1e-6."""
-    return dataclasses.replace(c, values=np.append(c.values[:-1], c.values[-1] * (1 + 1e-6)))
+    return c["coefficients"][:-1] + [c["coefficients"][-1] * (1 + 1e-6)]
 
 
 def test_expansion_heldout_validation():
@@ -386,16 +386,16 @@ def test_expansion_heldout_validation():
     # above the 1e-8 the exact expansion stays under
     sp = uniform_space(16)
     c = derive_expansion_coefficients(6, 2, sp, trials=30, seed=9)
-    assert validate_expansion(c, sp, pairs=20, seed=9) < 1e-8
-    assert validate_expansion(_scaled_top(c), sp, pairs=20, seed=9) > 1e-8
+    assert validate_expansion(c["coefficients"], sp, 6, pairs=20, seed=9) < 1e-8
+    assert validate_expansion(_scaled_top(c), sp, 6, pairs=20, seed=9) > 1e-8
     # exact also with an atom of zero weight, as the expansion is built from
     # the diagonal-free kernel, and on the uniform space, where some holdout
     # samples have counts exactly n mu and so J = 0
     for sp in EXPANSION_SPACES.values():
         for k in (1, 2, 3):
             c = derive_expansion_coefficients(5, k, sp, trials=30, seed=3)
-            assert validate_expansion(c, sp, pairs=20, seed=3) < 1e-8
-            assert validate_expansion(_scaled_top(c), sp, pairs=20, seed=3) > 1e-8
+            assert validate_expansion(c["coefficients"], sp, 5, pairs=20, seed=3) < 1e-8
+            assert validate_expansion(_scaled_top(c), sp, 5, pairs=20, seed=3) > 1e-8
 
 
 def test_expansion_rejects_too_few_trials():
@@ -437,7 +437,7 @@ def test_expansion_holdout_streams_are_disjoint_from_the_fit(monkeypatch):
     opened.append(set())
     c = derive_expansion_coefficients(3, 2, sp, trials=1002, seed=2)
     opened.append(set())
-    validate_expansion(c, sp, pairs=3, seed=2)
+    validate_expansion(c["coefficients"], sp, 3, pairs=3, seed=2)
     fit, holdout = opened
     assert len(fit) == 1003 and len(holdout) == 4
     assert fit.isdisjoint(holdout)
@@ -517,7 +517,8 @@ def test_expansion_payload_does_not_depend_on_the_stack_size(monkeypatch):
 
     def payload():
         c = derive_expansion_coefficients(n, k, sp, trials=40, seed=7)
-        return c.values, c.residual, validate_expansion(c, sp, pairs=10, seed=7)
+        return (c["coefficients"], c["residual"],
+                validate_expansion(c["coefficients"], sp, n, pairs=10, seed=7))
 
     default = payload()
     for pairs in (1, 3):
