@@ -9,9 +9,8 @@ from .spaces import (InvalidArgument, ProbabilitySpace, finite_space,
 from .kernels import (KernelFunction, FunctionFamily, ExplicitFamily,
                       BoxRestrictionFamily, BudgetExceeded, epsilon_net,
                       interval_family, l2_norm, singleton_family, sup_norm)
-from .decomposition import (HoeffdingDecomposition, canonicalize,
-                            hoeffding_decompose, is_canonical, project_p,
-                            project_q)
+from .decomposition import (canonicalize, hoeffding_decompose, is_canonical,
+                            project_p, project_q)
 from .statistics import (DegenerateSample, ResidualTooLarge, SampleDraw,
                          derive_expansion_coefficients, draw_bundle,
                          mirrored_contrast, multiple_integral_j, u_statistic,
@@ -24,7 +23,7 @@ from .chaos import (ChaosCoefficients, EnumerationRefused, chaos_moment_bound,
 from .bounds import (BoundConstants, NotApplicable, chaining_schedule,
                      corollary2_bound, h_integral_level, induction_levels,
                      proposition_level, theorem_bound)
-from .experiments import (TailCurve, TooFewQualifyingPoints,
-                          counterexample_experiment, decoupling_experiment,
-                          exponent_fit, mc_sup_tail, symmetrization_experiment,
+from .experiments import (TooFewQualifyingPoints, counterexample_experiment,
+                          decoupling_experiment, exponent_fit, mc_sup_tail,
+                          symmetrization_experiment, tail_curve,
                           wilson_interval)

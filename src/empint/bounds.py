@@ -130,8 +130,9 @@ def chaining_schedule(n: int, k: int, sigma: float, x: float, A_bar: float,
         raise InvalidArgument("D", "must be > 0")
     if not L > 0:
         raise InvalidArgument("L", "must be > 0")
-    if not A_bar >= 2 ** k:
-        raise NotApplicable(f"A_bar = {A_bar:g} is below 2^k = {2 ** k}")
+    two_k = saturating_pow(2.0, k)  # exact below 2^1024, else inf
+    if not A_bar >= two_k:
+        raise NotApplicable(f"A_bar = {A_bar:g} is below 2^k = {two_k:.17g}")
     if not isfinite(A_bar):
         raise InvalidArgument("A_bar", "must be finite")
     n_var, least = n * sigma ** 2, saturating_pow(x / sigma, 2.0 / k)

@@ -22,16 +22,16 @@ from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
                     chaos_tail_bound, exact_chaos_tail, EnumerationRefused,
                     optimal_q_tail)
 from .decomposition import canonicalize
-from .kernels import (INTERVAL_BUDGET, TABLE_LIMIT, BoxRestrictionFamily,
-                      ExplicitFamily, KernelFunction, _check_shape,
-                      interval_family, l2_norm, singleton_family)
-from .spaces import (InvalidArgument, ProbabilitySpace, finite_space,
-                     stream_rng, uniform_space)
+from .kernels import (INTERVAL_BUDGET, BoxRestrictionFamily, ExplicitFamily,
+                      KernelFunction, _check_shape, interval_family, l2_norm,
+                      singleton_family)
+from .spaces import (TABLE_LIMIT, InvalidArgument, ProbabilitySpace,
+                     finite_space, stream_rng, uniform_space)
 from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
     validate_expansion
 from .experiments import (counterexample_experiment, decoupling_experiment,
                           exponent_fit, mc_sup_tail, symmetrization_experiment,
-                          TailCurve, TooFewQualifyingPoints, worker_count)
+                          TooFewQualifyingPoints, worker_count)
 
 CURVE_HEADER = "x,p,ci_lo,ci_hi,theorem_bound,corollary_bound,applicable"
 
@@ -70,7 +70,9 @@ def _require(cfg: dict, path: str, types, cond=None, problem="invalid value",
         names = types if isinstance(types, tuple) else (types,)
         raise ConfigError(path, "expected " + " or ".join(
             {dict: "object"}.get(t, t.__name__) for t in names))
-    if isinstance(v, float) and not np.isfinite(v):
+    # int-float comparison is exact: nan, +-inf and any int past the
+    # largest float (such as 10**400) fail it
+    if type(v) in (int, float) and not abs(v) <= sys.float_info.max:
         raise ConfigError(path, "must be finite")
     if isinstance(v, list) and not _numbers_only(v):
         raise ConfigError(path, "every entry must be a number")
@@ -177,17 +179,17 @@ def _fmt(v) -> str:
     return str(int(v)) if isinstance(v, bool) else format(float(v), ".12g")
 
 
-def overlay_bounds(curve: TailCurve, k: int, sigma: float, D: float, L: float,
+def overlay_bounds(curve: dict, k: int, sigma: float, D: float, L: float,
                    beta: float, n: int, consts: BoundConstants):
     """Per-x rows: empirical p with interval, theorem and corollary bounds,
     applicability flag.  Report-only; the constants are exploratory."""
     rows = []
-    for i, x in enumerate(curve.x_grid):
-        tb, applicable = theorem_bound(float(x), n, k, sigma, D, L, beta, consts)
-        cb = corollary2_bound(float(x), k, consts)
-        rows.append({"x": float(x), "p": float(curve.probs[i]),
-                     "ci_lo": float(curve.ci_lo[i]), "ci_hi": float(curve.ci_hi[i]),
-                     "theorem_bound": tb, "corollary_bound": cb,
+    for x, p, lo, hi in zip(curve["x_grid"], curve["probs"], curve["ci_lo"],
+                            curve["ci_hi"]):
+        tb, applicable = theorem_bound(x, n, k, sigma, D, L, beta, consts)
+        rows.append({"x": x, "p": p, "ci_lo": lo, "ci_hi": hi,
+                     "theorem_bound": tb,
+                     "corollary_bound": corollary2_bound(x, k, consts),
                      "applicable": applicable})
     return rows
 
@@ -220,7 +222,8 @@ def execute(cfg: dict, workers: int = 1):
         k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
         space = _build_space(_require(cfg, "space", dict), "space")
         trials = _require(cfg, "trials", int)
-        pairs = _require(cfg, "holdout_pairs", int, lambda v: v >= 1, "must be >= 1")
+        pairs = _require(cfg, "holdout_pairs", int, lambda v: 1 <= v <= TABLE_LIMIT,
+                         "must be in 1..2^27")
         payload = derive_expansion_coefficients(n, k, space, trials, seed)
         payload["holdout_max_relative_error"] = validate_expansion(
             payload["coefficients"], space, n, pairs, seed)
@@ -279,7 +282,7 @@ def execute(cfg: dict, workers: int = 1):
                         "must be J, I or decoupled-I", default="J")
         curve = mc_sup_tail(family, space, n, k, kind, grid, reps, seed,
                             workers=workers)
-        payload = {"curve": curve.payload(), "statistic": kind}
+        payload = {"curve": curve, "statistic": kind}
     elif exp == "decoupling":
         grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
         payload, curve = decoupling_experiment(family, space, n, k, grid, reps,

@@ -8,7 +8,6 @@ the Hoeffding decomposition; the components are canonical and sum back to f.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,33 +56,6 @@ def is_canonical(f: KernelFunction, mu: ProbabilitySpace, tol: float = CANONICAL
     return True
 
 
-@dataclass(frozen=True)
-class HoeffdingDecomposition:
-    """Components f_V indexed by subsets V of {1..k}; f_emptyset is a scalar.
-
-    Each component is stored at its natural arity |V| with coordinates in the
-    sorted order of V.
-    """
-
-    k: int
-    constant: float  # f_emptyset
-    components: dict  # frozenset V (nonempty) -> KernelFunction of arity |V|
-    base_space: ProbabilitySpace
-
-    def component(self, V):
-        V = frozenset(V)
-        if not V:
-            return self.constant
-        return self.components[V]
-
-    def reconstruct(self) -> np.ndarray:
-        m, k = self.base_space.m, self.k
-        out = np.full((m,) * k, self.constant)
-        for V, f in self.components.items():
-            out = out + f.table.reshape([m if j in V else 1 for j in range(1, k + 1)])
-        return out
-
-
 def all_subsets(k: int):
     for r in range(k + 1):
         for V in itertools.combinations(range(1, k + 1), r):
@@ -120,11 +92,10 @@ def hoeffding_parts(table: np.ndarray, weights: np.ndarray, k: int) -> dict:
     return parts
 
 
-def hoeffding_decompose(f: KernelFunction, mu: ProbabilitySpace) -> HoeffdingDecomposition:
-    """The Hoeffding decomposition of one kernel (hoeffding_parts, no batch)."""
+def hoeffding_decompose(f: KernelFunction, mu: ProbabilitySpace) -> dict:
+    """The Hoeffding decomposition of one kernel (hoeffding_parts, no batch):
+    each nonempty V -> f_V, a KernelFunction of arity |V| with coordinates in
+    the sorted order of V, and the empty set -> the constant f_emptyset."""
     _check_shape(f, mu)
     parts = hoeffding_parts(f.table, mu.weights, f.k)
-    constant = float(parts.pop(frozenset()))
-    return HoeffdingDecomposition(
-        k=f.k, constant=constant, base_space=mu,
-        components={V: KernelFunction(t) for V, t in parts.items()})
+    return {V: KernelFunction(t) if V else float(t) for V, t in parts.items()}

@@ -8,7 +8,6 @@ against Monte Carlo estimates must include both sides' slack.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from math import factorial, log, sqrt
 
 import numpy as np
@@ -16,8 +15,8 @@ import numpy as np
 from .chaos import ChaosCoefficients
 from .kernels import ExplicitFamily, FunctionFamily, KernelFunction, \
     interval_family
-from .spaces import InvalidArgument, ProbabilitySpace, signed_increment, \
-    uniform_space
+from .spaces import TABLE_LIMIT, InvalidArgument, ProbabilitySpace, \
+    signed_increment, uniform_space
 from .statistics import SampleDraw, distinct_weights, draw_bundle, \
     increment_weights
 
@@ -36,35 +35,16 @@ def wilson_interval(successes: int, trials: int):
     return center - half, center + half
 
 
-@dataclass(frozen=True)
-class TailCurve:
-    x_grid: np.ndarray
-    probs: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-    replications: int
-
-    def __post_init__(self):
-        for name in ("x_grid", "probs", "ci_lo", "ci_hi"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, a)
-            a.setflags(write=False)
-
-    @classmethod
-    def from_maxima(cls, maxima: np.ndarray, x_grid) -> "TailCurve":
-        """Tail P(max >= x) at each x, with Wilson intervals."""
-        x_grid = np.asarray(x_grid, dtype=float)
-        reps = maxima.size
-        hits = reps - np.searchsorted(np.sort(maxima), x_grid, side="left")
-        ci = np.reshape([wilson_interval(int(h), reps) for h in hits], (-1, 2))
-        return cls(x_grid=x_grid, probs=hits / reps, ci_lo=ci[:, 0],
-                   ci_hi=ci[:, 1], replications=reps)
-
-    def payload(self) -> dict:
-        """The curve as report.json prints it."""
-        return {"x_grid": self.x_grid.tolist(), "probs": self.probs.tolist(),
-                "ci_lo": self.ci_lo.tolist(), "ci_hi": self.ci_hi.tolist(),
-                "replications": self.replications}
+def tail_curve(maxima: np.ndarray, x_grid) -> dict:
+    """Tail P(max >= x) at each x, with Wilson intervals, as report.json
+    prints it: plain lists of floats and the replication count."""
+    x_grid = np.asarray(x_grid, dtype=float)
+    reps = maxima.size
+    hits = reps - np.searchsorted(np.sort(maxima), x_grid, side="left")
+    ci = [wilson_interval(int(h), reps) for h in hits]
+    return {"x_grid": x_grid.tolist(), "probs": (hits / reps).tolist(),
+            "ci_lo": [lo for lo, _ in ci], "ci_hi": [hi for _, hi in ci],
+            "replications": reps}
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +101,8 @@ def worker_count(workers: int, reps: int) -> int:
 
 def _run_blocks(args_template, reps: int, workers: int) -> np.ndarray:
     """_sup_block over `reps` replications split into one block per worker."""
-    if reps < 1:
-        raise InvalidArgument("reps", "must be >= 1")
+    if not 1 <= reps <= TABLE_LIMIT:
+        raise InvalidArgument("reps", "must be in 1..2^27")
     blocks = np.array_split(np.arange(reps), worker_count(workers, reps))
     tasks = [args_template + (list(block),) for block in blocks]
     if workers <= 1:
@@ -135,13 +115,13 @@ def _run_blocks(args_template, reps: int, workers: int) -> np.ndarray:
 
 def mc_sup_tail(family: FunctionFamily, space: ProbabilitySpace, n: int, k: int,
                 statistic_kind: str, x_grid, reps: int, seed: int,
-                workers: int = 1) -> TailCurve:
+                workers: int = 1) -> dict:
     """Empirical exceedance curve of sup over the family of |statistic|."""
     if family.k != k:
         raise ValueError("family arity does not match k")
     maxima = _run_blocks((family, space, n, k, (statistic_kind,), seed), reps,
                          workers)
-    return TailCurve.from_maxima(maxima[:, 0], x_grid)
+    return tail_curve(maxima[:, 0], x_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +129,7 @@ def mc_sup_tail(family: FunctionFamily, space: ProbabilitySpace, n: int, k: int,
 
 def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
                               n: int, x: float, reps: int, seed: int,
-                              workers: int = 1) -> tuple[dict, TailCurve]:
+                              workers: int = 1) -> tuple[dict, dict]:
     """Compare P(sup |n^{-1/2} sum f(xi_j)| >= x) with four times the tail of
     its sign-randomized version at x/3.
 
@@ -169,12 +149,11 @@ def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
                              sigma=family.sigma)
     both = _run_blocks((centered, space, n, 1, ("I", "randomized-I"), seed),
                        reps, workers) / sqrt(n)
-    curve = TailCurve.from_maxima(both[:, 0], [x])
-    randomized = TailCurve.from_maxima(both[:, 1], [x / 3.0])
-    rhs = [min(1.0, 4.0 * float(a[0]))
-           for a in (randomized.probs, randomized.ci_lo, randomized.ci_hi)]
-    record = {"x": x, "lhs": float(curve.probs[0]),
-              "lhs_interval": [float(curve.ci_lo[0]), float(curve.ci_hi[0])],
+    curve = tail_curve(both[:, 0], [x])
+    randomized = tail_curve(both[:, 1], [x / 3.0])
+    rhs = [min(1.0, 4.0 * randomized[key][0]) for key in ("probs", "ci_lo", "ci_hi")]
+    record = {"x": x, "lhs": curve["probs"][0],
+              "lhs_interval": [curve["ci_lo"][0], curve["ci_hi"][0]],
               "rhs": rhs[0], "rhs_interval": rhs[1:], "replications": reps}
     return record, curve
 
@@ -184,7 +163,7 @@ def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
 
 def decoupling_experiment(family: FunctionFamily, space: ProbabilitySpace,
                           n: int, k: int, x_grid, reps: int, seed: int,
-                          workers: int = 1) -> tuple[dict, TailCurve]:
+                          workers: int = 1) -> tuple[dict, dict]:
     """Paired tail curves of sup|I| and sup|decoupled I| on a shared grid,
     with the ratio decoupled / coupled per grid point (None where the coupled
     tail is 0).  Returns that record and the coupled curve.
@@ -195,12 +174,11 @@ def decoupling_experiment(family: FunctionFamily, space: ProbabilitySpace,
         raise InvalidArgument("k", "decoupling requires k >= 2")
     both = _run_blocks((family, space, n, k, ("I", "decoupled-I"), seed), reps,
                        workers)
-    coupled = TailCurve.from_maxima(both[:, 0], x_grid)
-    dec = TailCurve.from_maxima(both[:, 1], x_grid)
-    ratio = [float(d / c) if c > 0 else None
-             for c, d in zip(coupled.probs, dec.probs)]
-    record = {"coupled": coupled.payload(), "decoupled": dec.payload(),
-              "ratio": ratio}
+    coupled = tail_curve(both[:, 0], x_grid)
+    dec = tail_curve(both[:, 1], x_grid)
+    ratio = [d / c if c > 0 else None
+             for c, d in zip(coupled["probs"], dec["probs"])]
+    record = {"coupled": coupled, "decoupled": dec, "ratio": ratio}
     return record, coupled
 
 
@@ -209,7 +187,7 @@ def decoupling_experiment(family: FunctionFamily, space: ProbabilitySpace,
 
 def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
                               seed: int, grid: int | None = None,
-                              workers: int = 1) -> tuple[dict, TailCurve]:
+                              workers: int = 1) -> tuple[dict, dict]:
     """Sup of the one-sided empirical increment over intervals of length at
     most sigma^2, evaluated just below and just above the threshold
     x* = sqrt(2 log(1/sigma)) * sigma.  Returns the record of both tails and
@@ -231,9 +209,9 @@ def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
     x_star = sqrt(2.0 * log(1.0 / sigma)) * sigma
     x_low = (1 - epsilon) * x_star
     x_high = (1 + epsilon) * x_star
-    curve = TailCurve.from_maxima(sups, [x_low, x_high])
-    record = {"x_star": x_star, "x_low": x_low, "p_low": float(curve.probs[0]),
-              "x_high": x_high, "p_high": float(curve.probs[1]),
+    curve = tail_curve(sups, [x_low, x_high])
+    record = {"x_star": x_star, "x_low": x_low, "p_low": curve["probs"][0],
+              "x_high": x_high, "p_high": curve["probs"][1],
               "grid": grid, "replications": reps}
     return record, curve
 
@@ -245,16 +223,17 @@ class TooFewQualifyingPoints(Exception):
     pass
 
 
-def exponent_fit(curve: TailCurve):
+def exponent_fit(curve: dict):
     """Least-squares slope of log(-log p) against log x over grid points
     with p in (0.001, 0.5); the testable shadow of the exp(-alpha x^{2/k})
     tail shape.  Returns (slope, stderr)."""
-    keep = (curve.probs > 0.001) & (curve.probs < 0.5) & (curve.x_grid > 0)
+    x, p = np.asarray(curve["x_grid"]), np.asarray(curve["probs"])
+    keep = (p > 0.001) & (p < 0.5) & (x > 0)
     if np.count_nonzero(keep) < 4:
         raise TooFewQualifyingPoints(
             f"only {np.count_nonzero(keep)} points with p in (0.001, 0.5)")
-    lx = np.log(curve.x_grid[keep])
-    ly = np.log(-np.log(curve.probs[keep]))
+    lx = np.log(x[keep])
+    ly = np.log(-np.log(p[keep]))
     A = np.stack([lx, np.ones_like(lx)], axis=1)
     coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
     slope = coef[0]

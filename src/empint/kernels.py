@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import InvalidArgument, ProbabilitySpace
+from .spaces import TABLE_LIMIT, InvalidArgument, ProbabilitySpace
 
 
 class BudgetExceeded(Exception):
@@ -190,7 +190,6 @@ def singleton_family(f: KernelFunction, sigma: float = 1.0) -> ExplicitFamily:
 
 # (D, L, beta): L2-density budget of the d=1 box construction at k=1
 INTERVAL_BUDGET = (4.0, 2.0, 0.0)
-TABLE_LIMIT = 2 ** 27  # most entries a family may tabulate: 1 GiB of float64
 
 
 def interval_family(sigma: float, grid: int) -> ExplicitFamily:

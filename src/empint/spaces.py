@@ -12,6 +12,8 @@ from functools import cached_property
 import numpy as np
 
 WEIGHT_TOL = 1e-12
+# most entries of one array an argument may ask for: 1 GiB of float64
+TABLE_LIMIT = 2 ** 27
 
 
 class InvalidArgument(ValueError):
@@ -114,8 +116,8 @@ def draw_sample(space: ProbabilitySpace, n: int, seed: int,
     Ties in the CDF are broken toward the lower index (searchsorted 'right'),
     so results do not depend on the platform's floating-point quirks.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= TABLE_LIMIT:
+        raise InvalidArgument("n", "must be in 1..2^27")
     sample = space.inverse_cdf(stream_rng(seed, stream_id).random(n))
     sample.setflags(write=False)
     return sample

@@ -21,8 +21,8 @@ import numpy as np
 # under this module's name
 from .decomposition import all_subsets, hoeffding_decompose, hoeffding_parts  # noqa: F401
 from .kernels import KernelFunction, _check_shape, offdiag_mask
-from .spaces import InvalidArgument, ProbabilitySpace, draw_sample, \
-    point_counts, signed_increment, stream_rng
+from .spaces import TABLE_LIMIT, InvalidArgument, ProbabilitySpace, \
+    draw_sample, point_counts, signed_increment, stream_rng
 
 
 class DegenerateSample(InvalidArgument):
@@ -270,8 +270,8 @@ def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
     """Solve for the coefficients C(n,k,r), r = 0..k, by least squares over
     random (kernel, sample) pairs; the relative residual doubles as an
     integration test of J, the U-statistics and the decomposition."""
-    if trials < 3 * (k + 1):
-        raise InvalidArgument("trials", f"must be >= 3*(k+1) = {3 * (k + 1)}")
+    if not 3 * (k + 1) <= trials <= TABLE_LIMIT:
+        raise InvalidArgument("trials", f"must be in 3*(k+1)..2^27, here {3 * (k + 1)}..2^27")
     rows, targets = _expansion_pairs(space, n, k, trials, seed, 0)
     coeffs, _, rank, _ = np.linalg.lstsq(rows, targets, rcond=None)
     if rank < k + 1:
@@ -292,8 +292,8 @@ def validate_expansion(coefficients, space: ProbabilitySpace, n: int,
     pair with J = 0 adds only its roundoff."""
     if len(coefficients) < 2:
         raise InvalidArgument("coefficients", "must hold C(n,k,r) for r = 0..k, k >= 1")
-    if pairs < 1:
-        raise InvalidArgument("pairs", "must be >= 1")
+    if not 1 <= pairs <= TABLE_LIMIT:
+        raise InvalidArgument("pairs", "must be in 1..2^27")
     rows, direct = _expansion_pairs(space, n, len(coefficients) - 1, pairs, seed,
                                     HOLDOUT_STREAMS)
     via = rows @ np.asarray(coefficients, dtype=float)

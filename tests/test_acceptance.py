@@ -24,6 +24,7 @@ from empint.spaces import stream_rng, uniform_space
 from empint.statistics import (derive_expansion_coefficients,
                                exact_u_statistic_moment, mirrored_contrast,
                                validate_expansion)
+from test_decomposition import component_sum
 
 
 def _verdict(num: int, label: str, ok: bool, t0: float, budget: float):
@@ -46,10 +47,10 @@ def test_01_decomposition_reconstruction_exact():
         sp = uniform_space(m)
         f = KernelFunction(stream_rng(1000 + i, 0).standard_normal((m,) * k))
         decomp = hoeffding_decompose(f, sp)
-        if np.max(np.abs(decomp.reconstruct() - f.table)) > 1e-10:
+        if np.max(np.abs(component_sum(decomp) - f.table)) > 1e-10:
             ok = False
         for V in all_subsets(k):
-            if V and not is_canonical(decomp.components[V], sp, tol=1e-10):
+            if V and not is_canonical(decomp[V], sp, tol=1e-10):
                 ok = False
     _verdict(1, "decomposition-reconstruction", ok, t0, 5.0)
 

@@ -12,7 +12,7 @@ from empint.experiments import (counterexample_experiment,
                                 decoupling_experiment, mc_sup_tail,
                                 symmetrization_experiment)
 from empint.kernels import KernelFunction, interval_family, singleton_family
-from empint.spaces import uniform_space
+from empint.spaces import draw_sample, uniform_space
 from empint.statistics import (DegenerateSample, derive_expansion_coefficients,
                                distinct_weights, validate_expansion)
 
@@ -59,6 +59,14 @@ REFUSALS = {
         K2, SP, 16, 2, [0.5], 0, 0)),
     "counterexample-reps": ("reps", lambda: counterexample_experiment(
         0.3, 500, 0.5, 0, 0)),
+    # arrays past 2^27 entries are refused before anything is allocated
+    "draw_sample-n": ("n", lambda: draw_sample(SP, 2 ** 27 + 1, 0)),
+    "mc_sup_tail-reps-huge": ("reps", lambda: mc_sup_tail(
+        K1, SP, 16, 1, "J", [0.5], 10 ** 30, 0)),
+    "expansion-trials-huge": ("trials", lambda: derive_expansion_coefficients(
+        5, 2, SP, 10 ** 30, 0)),
+    "holdout-pairs-huge": ("pairs", lambda: validate_expansion(
+        [0.0, 1.0], SP, 5, 10 ** 30, 0)),
 }
 
 

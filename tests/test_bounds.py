@@ -158,6 +158,7 @@ def test_schedule_requires_hypothesis():
     ((10, 1, 0.1, 100.0, 2.0, 1.0, 1.0),
      ["n sigma^2 = 0.1", "(x/sigma)^(2/k) = 1e+06"]),
     ((4096, 1, 0.5, 2.0, float("nan"), 4.0, 2.0), ["A_bar = nan", "2^k = 2"]),
+    ((4096, 10 ** 30, 0.5, 2.0, 2.0, 4.0, 2.0), ["A_bar = 2", "2^k = inf"]),
     ((4096, 1, 1e-300, 2.0, 2.0, 4.0, 2.0), ["n sigma^2 = 0", "(x/sigma)^(2/k) = inf"]),
     ((4096, 1, 0.5, 1e-300, 2.0, 4.0, 2.0), ["= inf", "R = 333"]),
     ((4096, 1, 0.5, 2.0, 1e300, 4.0, 2.0), ["= inf", "R = 333"]),
@@ -165,7 +166,7 @@ def test_schedule_requires_hypothesis():
     ((1, 1, 1.0, 1e-300, 1e300, 1e-300, 1e-3), ["underflows to 0", "R = 664"]),
     # x/(A_bar sigma_bar) underflows, so the sandwich check would read false
     ((1, 5, 1.0, 1e-176, 1e270, 1e-43, 1.0), ["cannot be checked", "R = 134"])],
-    ids=["A_bar", "hypothesis", "A_bar-nan", "sigma-tiny", "x-tiny", "A_bar-huge",
+    ids=["A_bar", "hypothesis", "A_bar-nan", "k-huge", "sigma-tiny", "x-tiny", "A_bar-huge",
          "L-huge", "sigma_bar-zero", "sandwich-unchecked"])
 def test_schedule_refusal_names_value_and_threshold(args, numbers):
     with pytest.raises(NotApplicable) as e:

@@ -12,7 +12,7 @@ from empint import chaos, cli
 from empint.bounds import BoundConstants, chaining_schedule
 from empint.cli import (CURVE_HEADER, ConfigError, _build_family,
                         load_config, main, overlay_bounds, run)
-from empint.experiments import (TailCurve, counterexample_experiment,
+from empint.experiments import (counterexample_experiment,
                                 decoupling_experiment, mc_sup_tail,
                                 symmetrization_experiment)
 from empint.kernels import (KernelFunction, interval_family, l2_norm,
@@ -553,16 +553,16 @@ def test_non_finite_or_negative_x_rejected(tmp_path, capsys, experiment, x_grid)
 # --- overlay_bounds --------------------------------------------------------
 
 def test_overlay_empty_grid():
-    curve = TailCurve(x_grid=np.array([]), probs=np.array([]),
-                      ci_lo=np.array([]), ci_hi=np.array([]), replications=1)
+    curve = {"x_grid": [], "probs": [], "ci_lo": [], "ci_hi": [],
+             "replications": 1}
     rows = overlay_bounds(curve, 1, 0.5, 4.0, 2.0, 0.0, 100, BoundConstants(k=1))
     assert rows == []
 
 
 def test_overlay_bound_capped_at_one():
-    p = np.array([0.9, 0.5])
-    curve = TailCurve(x_grid=np.array([0.0, 0.1]), probs=p, ci_lo=p, ci_hi=p,
-                      replications=100)
+    p = [0.9, 0.5]
+    curve = {"x_grid": [0.0, 0.1], "probs": p, "ci_lo": p, "ci_hi": p,
+             "replications": 100}
     rows = overlay_bounds(curve, 1, 0.5, 4.0, 2.0, 0.0, 100, BoundConstants(k=1))
     for r in rows:
         assert 0 < r["theorem_bound"] <= 1
@@ -881,4 +881,4 @@ def test_sup_tail_payload_curve_is_the_curve_payload(tmp_path, workers):
     curve = mc_sup_tail(interval_family(0.5, 8), uniform_space(8), 64, 1, "J",
                         _GRID, 100, 11, workers=workers)
     payload = json.loads((out / "report.json").read_text())["payload"]
-    assert payload["curve"] == curve.payload()
+    assert payload["curve"] == curve

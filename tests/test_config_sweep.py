@@ -59,7 +59,8 @@ CONFIGS = {
 }
 
 BAD_VALUES = ["abc", None, True, [], [1, "a"], [[1, 2], [3]], [[1, 2], [3, 4]],
-              {}, -1, 0, 1.5, -0.5, float("nan"), float("inf"), 1e-300, 1e300]
+              {}, -1, 0, 1.5, -0.5, float("nan"), float("inf"), 1e-300, 1e300,
+              10 ** 30, 10 ** 400]
 DELETE = object()
 SEED_FIELDS = {"seed", "family.kernel_seed"}
 

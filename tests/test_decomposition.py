@@ -19,6 +19,18 @@ def _random_space(m, seed):
     return finite_space(stream_rng(seed, 1).uniform(0.05, 1.0, size=m))
 
 
+def component_sum(parts):
+    """Sum over V of the components f_V of a Hoeffding decomposition, each
+    broadcast over the coordinates outside V: f itself."""
+    k = max(len(V) for V in parts)
+    m = parts[frozenset(range(1, k + 1))].m
+    out = np.full((m,) * k, parts[frozenset()])
+    for V, f in parts.items():
+        if V:
+            out = out + f.table.reshape([m if j in V else 1 for j in range(1, k + 1)])
+    return out
+
+
 def test_project_p_constant():
     sp = uniform_space(3)
     f = KernelFunction(np.full((3, 3), 2.5))
@@ -87,30 +99,30 @@ def test_is_canonical_rejects_bad_tol():
 def test_decompose_constant():
     sp = uniform_space(3)
     d = hoeffding_decompose(KernelFunction(np.full((3, 3), 0.4)), sp)
-    assert d.constant == pytest.approx(0.4)
+    assert d[frozenset()] == pytest.approx(0.4)
     for V in all_subsets(2):
         if V:
-            assert np.allclose(d.component(V).table, 0.0, atol=1e-13)
+            assert np.allclose(d[V].table, 0.0, atol=1e-13)
 
 
 def test_decompose_canonical_concentrates_on_full_set():
     sp = _random_space(4, 21)
     f = canonicalize(_random_kernel(4, 2, 21), sp)
     d = hoeffding_decompose(f, sp)
-    assert abs(d.constant) < 1e-12
-    assert np.allclose(d.component(frozenset({1, 2})).table, f.table, atol=1e-12)
+    assert abs(d[frozenset()]) < 1e-12
+    assert np.allclose(d[frozenset({1, 2})].table, f.table, atol=1e-12)
     for V in (frozenset({1}), frozenset({2})):
-        assert np.allclose(d.component(V).table, 0.0, atol=1e-12)
+        assert np.allclose(d[V].table, 0.0, atol=1e-12)
 
 
 def test_decompose_reconstruction_and_canonicality():
     sp = _random_space(3, 4)
     f = _random_kernel(3, 2, 4)
     d = hoeffding_decompose(f, sp)
-    assert np.max(np.abs(d.reconstruct() - f.table)) < 1e-12
+    assert np.max(np.abs(component_sum(d) - f.table)) < 1e-12
     for V in all_subsets(2):
         if V:
-            assert is_canonical(d.component(V), sp, tol=1e-10)
+            assert is_canonical(d[V], sp, tol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
@@ -120,10 +132,10 @@ def test_decompose_property(m, k, seed):
     sp = _random_space(m, seed)
     f = _random_kernel(m, k, seed)
     d = hoeffding_decompose(f, sp)
-    assert np.max(np.abs(d.reconstruct() - f.table)) < 1e-10
+    assert np.max(np.abs(component_sum(d) - f.table)) < 1e-10
     for V in all_subsets(k):
         if V:
-            assert is_canonical(d.component(V), sp, tol=1e-10)
+            assert is_canonical(d[V], sp, tol=1e-10)
 
 
 def _per_subset_component(f, sp, V):
@@ -145,9 +157,10 @@ def test_decompose_matches_per_subset_formula(k):
     kernels = [_random_kernel(4, k, 40 + seed) for seed in range(3)]
     for f in kernels:
         d = hoeffding_decompose(f, sp)
-        assert set(d.components) == {V for V in all_subsets(k) if V}
-        assert abs(d.constant - float(_per_subset_component(f, sp, frozenset()))) < 1e-12
-        for V, component in d.components.items():
+        assert set(d) == set(all_subsets(k))
+        assert type(d[frozenset()]) is float
+        assert abs(d.pop(frozenset()) - float(_per_subset_component(f, sp, frozenset()))) < 1e-12
+        for V, component in d.items():
             assert component.table.shape == (4,) * len(V)
             ref = _per_subset_component(f, sp, V)
             assert np.max(np.abs(component.table - ref)) < 1e-12
@@ -198,10 +211,10 @@ def test_square_component_sup_bound():
         f = _random_kernel(4, k, seed, scale=0.0)
         table = stream_rng(seed, 2).uniform(-cap, cap, size=(4,) * k)
         d = hoeffding_decompose(KernelFunction(table ** 2), sp)
-        assert abs(d.constant) <= cap + 1e-12
+        assert abs(d[frozenset()]) <= cap + 1e-12
         for V in all_subsets(k):
             if V:
-                assert sup_norm(d.component(V)) <= cap + 1e-12
+                assert sup_norm(d[V]) <= cap + 1e-12
 
 
 def test_net_preservation_under_q():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import types
 from math import factorial
 
@@ -15,13 +16,13 @@ from empint.spaces import draw_sample, finite_space, stream_rng, uniform_space
 from empint.statistics import (STREAMS_PER_DRAW, distinct_weights,
                                draw_bundle, enumerate_configurations,
                                multiple_integral_j)
-from empint.experiments import (TailCurve, TooFewQualifyingPoints,
-                                _member_matrix,
+from empint.experiments import (TooFewQualifyingPoints, _member_matrix,
                                 conditional_chaos_coefficients,
                                 counterexample_experiment,
                                 decoupling_experiment, exponent_fit,
                                 mc_sup_tail, statistic_weights,
-                                symmetrization_experiment, wilson_interval)
+                                symmetrization_experiment, tail_curve,
+                                wilson_interval)
 
 
 def test_wilson_interval_basic():
@@ -35,21 +36,27 @@ def test_wilson_interval_basic():
 
 
 def test_tail_curve_from_maxima():
-    curve = TailCurve.from_maxima(np.array([0.1, 0.4, 0.9, 1.5]), [0.0, 0.5, 1.0, 2.0])
-    assert np.allclose(curve.probs, [1.0, 0.5, 0.25, 0.0])
-    assert np.all(np.diff(curve.probs) <= 0)
-    assert np.all((curve.probs >= 0) & (curve.probs <= 1))
-    assert np.all(curve.ci_lo <= curve.probs + 1e-12)
-    assert np.all(curve.ci_hi >= curve.probs - 1e-12)
+    curve = tail_curve(np.array([0.1, 0.4, 0.9, 1.5]), [0.0, 0.5, 1.0, 2.0])
+    # the record report.json prints: lists of floats and an int, unchanged
+    # by a JSON round trip
+    assert type(curve["replications"]) is int
+    for key in ("x_grid", "probs", "ci_lo", "ci_hi"):
+        assert all(type(v) is float for v in curve[key]) and type(curve[key]) is list
+    assert json.loads(json.dumps(curve)) == curve
+    probs, ci_lo, ci_hi = (np.array(curve[key]) for key in ("probs", "ci_lo", "ci_hi"))
+    assert np.allclose(probs, [1.0, 0.5, 0.25, 0.0])
+    assert np.all(np.diff(probs) <= 0)
+    assert np.all((probs >= 0) & (probs <= 1))
+    assert np.all(ci_lo <= probs + 1e-12)
+    assert np.all(ci_hi >= probs - 1e-12)
 
 
 def test_tail_conventions_on_integer_values():
-    """from_maxima counts maxima >= x and exact_chaos_tail counts |Z| > x;
+    """tail_curve counts maxima >= x and exact_chaos_tail counts |Z| > x;
     the two differ where a value equals x."""
-    curve = TailCurve.from_maxima(np.array([0.0, 2.0, 2.0, 0.0]),
-                                  [0.0, 2.0, 3.0])
-    assert curve.probs.tolist() == [1.0, 0.5, 0.0]
-    assert (curve.ci_lo[1], curve.ci_hi[1]) == wilson_interval(2, 4)
+    curve = tail_curve(np.array([0.0, 2.0, 2.0, 0.0]), [0.0, 2.0, 3.0])
+    assert curve["probs"] == [1.0, 0.5, 0.0]
+    assert (curve["ci_lo"][1], curve["ci_hi"][1]) == wilson_interval(2, 4)
     # eps_0 eps_1 + eps_1 eps_2 is +-2 or 0, each |Z| with probability 1/2
     coeffs = ChaosCoefficients(n=3, k=2,
                                index_tuples=np.array([[0, 1], [1, 2]]),
@@ -68,21 +75,21 @@ def test_mc_sup_tail_zero_family():
     sp = uniform_space(3)
     fam = singleton_family(KernelFunction(np.zeros(3)))
     curve = mc_sup_tail(fam, sp, 20, 1, "J", [0.1, 0.5], 50, seed=1)
-    assert np.all(curve.probs == 0.0)
+    assert curve["probs"] == [0.0, 0.0]
 
 
 def test_mc_sup_tail_prob_one_at_zero():
     sp = uniform_space(3)
     fam = _canonical_singleton(3, 1, 2, sp)
     curve = mc_sup_tail(fam, sp, 20, 1, "J", [0.0, 0.2], 50, seed=2)
-    assert curve.probs[0] == 1.0
+    assert curve["probs"][0] == 1.0
 
 
 def test_mc_sup_tail_monotone():
     sp = uniform_space(4)
     fam = _canonical_singleton(4, 2, 3, sp)
     curve = mc_sup_tail(fam, sp, 32, 2, "I", np.linspace(0, 10, 15), 200, seed=3)
-    assert np.all(np.diff(curve.probs) <= 1e-15)
+    assert np.all(np.diff(curve["probs"]) <= 1e-15)
 
 
 def test_mc_sup_tail_against_exact_enumeration():
@@ -98,7 +105,7 @@ def test_mc_sup_tail_against_exact_enumeration():
             exact += prob
     fam = singleton_family(f, sigma=1.0)
     curve = mc_sup_tail(fam, sp, 10, 1, "J", [x], 4000, seed=33)
-    assert curve.ci_lo[0] <= exact <= curve.ci_hi[0]
+    assert curve["ci_lo"][0] <= exact <= curve["ci_hi"][0]
 
 
 def test_mc_sup_tail_worker_independence():
@@ -107,8 +114,8 @@ def test_mc_sup_tail_worker_independence():
     grid = np.linspace(0, 4, 9)
     a = mc_sup_tail(fam, sp, 32, 2, "J", grid, 120, seed=5, workers=1)
     b = mc_sup_tail(fam, sp, 32, 2, "J", grid, 120, seed=5, workers=8)
-    assert np.array_equal(a.probs, b.probs)
-    assert np.array_equal(a.ci_lo, b.ci_lo)
+    assert a["probs"] == b["probs"]
+    assert a["ci_lo"] == b["ci_lo"]
 
 
 @pytest.mark.parametrize("k, kinds", [(1, ("J", "I", "decoupled-I", "increment")),
@@ -139,9 +146,9 @@ def test_mc_sup_tail_box_family_worker_independence():
     grid = np.linspace(0, 100, 11)
     a = mc_sup_tail(fam, sp, 24, 2, "decoupled-I", grid, 90, seed=2, workers=1)
     b = mc_sup_tail(fam, sp, 24, 2, "decoupled-I", grid, 90, seed=2, workers=3)
-    assert 0 < a.probs[5] < 1
+    assert 0 < a["probs"][5] < 1
     for name in ("probs", "ci_lo", "ci_hi"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a[name] == b[name]
 
 
 def test_process_pool_is_sized_to_the_blocks(monkeypatch):
@@ -170,7 +177,7 @@ def test_process_pool_is_sized_to_the_blocks(monkeypatch):
     b = mc_sup_tail(fam, sp, 20, 1, "J", grid, 2, seed=3, workers=1)
     mc_sup_tail(fam, sp, 20, 1, "J", grid, 7, seed=3, workers=3)
     assert sizes == [2, 3]
-    assert np.array_equal(a.probs, b.probs)
+    assert a["probs"] == b["probs"]
 
 
 @pytest.mark.parametrize("experiment", [
@@ -186,7 +193,7 @@ def test_process_pool_is_sized_to_the_blocks(monkeypatch):
 def test_experiment_worker_independence(experiment):
     (record1, curve1), (record3, curve3) = experiment(1), experiment(3)
     assert record3 == record1
-    assert curve3.payload() == curve1.payload()
+    assert curve3 == curve1
 
 
 def test_mc_sup_tail_validations():
@@ -228,9 +235,9 @@ def test_mc_sup_tail_equals_eager_stream_reference(k, kind):
         for r in range(reps)])
     grid = np.unique(maxima)  # every replication's maximum is a grid point
     curve = mc_sup_tail(fam, sp, n, k, kind, grid, reps, seed)
-    expected = TailCurve.from_maxima(maxima, grid)
-    assert np.array_equal(curve.probs, expected.probs)
-    assert np.array_equal(curve.ci_lo, expected.ci_lo)
+    expected = tail_curve(maxima, grid)
+    assert curve["probs"] == expected["probs"]
+    assert curve["ci_lo"] == expected["ci_lo"]
 
 
 @pytest.fixture
@@ -381,9 +388,9 @@ def test_counterexample_validations():
 # --- exponent fitting ------------------------------------------------------
 
 def _synthetic_curve(fn, xs):
-    probs = np.array([fn(x) for x in xs])
-    return TailCurve(x_grid=np.array(xs), probs=probs, ci_lo=probs, ci_hi=probs,
-                     replications=10 ** 6)
+    probs = [float(fn(x)) for x in xs]
+    return {"x_grid": [float(x) for x in xs], "probs": probs, "ci_lo": probs,
+            "ci_hi": probs, "replications": 10 ** 6}
 
 
 def test_exponent_fit_gaussian_shape():

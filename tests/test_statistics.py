@@ -458,11 +458,11 @@ def _reference_pairs(space, n, k, count, seed, first):
         sample = draw_sample(space, n, seed, first + 1 + t)
         free = hoeffding_decompose(
             KernelFunction(f.table * offdiag_mask(space.m, k)), space)
-        row = [free.constant]
+        row = [free[frozenset()]]
         for r in range(1, k + 1):
             w = distinct_weights([sample] * r, space.m).ravel()
             row.append(n ** (-r / 2) * sum(
-                free.component(V).table.ravel() @ w
+                free[frozenset(V)].table.ravel() @ w
                 for V in itertools.combinations(range(1, k + 1), r)))
         rows.append(row)
         targets.append(multiple_integral_j(f, sample, space))
