@@ -70,7 +70,7 @@ def saturating_pow(base: float, exponent: float) -> float:
 
 
 def theorem_bound(x: float, n: int, k: int, sigma: float, D: float, L: float,
-                  beta: float, consts: BoundConstants):
+                  consts: BoundConstants):
     """Supremum tail bound min(1, C*D*exp(-alpha (x/sigma)^{2/k})) together
     with the two-sided applicability region flag."""
     if not 0 < sigma <= 1:
@@ -80,7 +80,7 @@ def theorem_bound(x: float, n: int, k: int, sigma: float, D: float, L: float,
     arg = saturating_pow(x / sigma, 2.0 / k)
     bound = min(1.0, consts.C * D * exp(-consts.alpha * arg))
     applicable = (n * sigma ** 2 >= arg
-                  >= consts.M * (L + beta + 1) ** 1.5 * log(2.0 / sigma))
+                  >= consts.M * (L + 1) ** 1.5 * log(2.0 / sigma))
     return float(bound), bool(applicable)
 
 

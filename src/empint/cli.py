@@ -22,8 +22,8 @@ from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
                     chaos_tail_bound, exact_chaos_tail, EnumerationRefused,
                     optimal_q_tail)
 from .decomposition import canonicalize
-from .kernels import (INTERVAL_BUDGET, BoxRestrictionFamily, ExplicitFamily,
-                      KernelFunction, _check_shape, interval_family, l2_norm,
+from .kernels import (BoxRestrictionFamily, ExplicitFamily, KernelFunction,
+                      _check_shape, box_budget, interval_family, l2_norm,
                       singleton_family)
 from .spaces import (TABLE_LIMIT, InvalidArgument, ProbabilitySpace,
                      finite_space, stream_rng, uniform_space)
@@ -180,17 +180,18 @@ def _fmt(v) -> str:
 
 
 def overlay_bounds(curve: dict, k: int, sigma: float, D: float, L: float,
-                   beta: float, n: int, consts: BoundConstants):
+                   n: int, consts: BoundConstants, hypotheses_hold: bool = True):
     """Per-x rows: empirical p with interval, theorem and corollary bounds,
-    applicability flag.  Report-only; the constants are exploratory."""
+    applicability flag (the region test, where the hypotheses hold).
+    Report-only; the constants are exploratory."""
     rows = []
     for x, p, lo, hi in zip(curve["x_grid"], curve["probs"], curve["ci_lo"],
                             curve["ci_hi"]):
-        tb, applicable = theorem_bound(x, n, k, sigma, D, L, beta, consts)
+        tb, applicable = theorem_bound(x, n, k, sigma, D, L, consts)
         rows.append({"x": x, "p": p, "ci_lo": lo, "ci_hi": hi,
                      "theorem_bound": tb,
                      "corollary_bound": corollary2_bound(x, k, consts),
-                     "applicable": applicable})
+                     "applicable": applicable and hypotheses_hold})
     return rows
 
 
@@ -203,7 +204,8 @@ def _write_curve(path, rows):
 
 
 def execute(cfg: dict, workers: int = 1):
-    """Run the configured experiment; returns (payload dict, curve rows)."""
+    """Run the configured experiment; returns (payload dict, curve rows,
+    the failed hypotheses of the bound overlay by name)."""
     exp = cfg["experiment"]
     seed = _require(cfg, "seed", int, *SEED_RULE)
     n = _require(cfg, "n", int, lambda v: v >= 1, "must be >= 1")
@@ -216,7 +218,7 @@ def execute(cfg: dict, workers: int = 1):
         D = _require(cfg, "D", (int, float))
         L = _require(cfg, "L", (int, float))
         return chaining_schedule(n, k, float(sigma), float(x), float(A_bar),
-                                 float(D), float(L)), []
+                                 float(D), float(L)), [], {}
 
     if exp == "expansion_audit":
         k = _require(cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
@@ -227,7 +229,7 @@ def execute(cfg: dict, workers: int = 1):
         payload = derive_expansion_coefficients(n, k, space, trials, seed)
         payload["holdout_max_relative_error"] = validate_expansion(
             payload["coefficients"], space, n, pairs, seed)
-        return payload, []
+        return payload, [], {}
 
     if exp == "chaos_audit":
         k = _require(cfg, "k", int, lambda v: v >= 1, "must be >= 1")
@@ -249,7 +251,7 @@ def execute(cfg: dict, workers: int = 1):
                          "theorem_bound": chaos_tail_bound(x, S, k),
                          "corollary_bound": opt, "applicable": q >= 2})
         payload = {"S": S, "exact_tail": [[r["x"], r["p"]] for r in rows]}
-        return payload, rows
+        return payload, rows, {}
 
     # Monte Carlo experiments: each returns its record and the one tail that
     # overlays the bounds
@@ -264,8 +266,9 @@ def execute(cfg: dict, workers: int = 1):
         grid = _require(cfg, "grid", int, default=None)
         payload, curve = counterexample_experiment(sigma, n, float(eps), reps,
                                                    seed, grid=grid, workers=workers)
-        return payload, overlay_bounds(curve, k, sigma, *INTERVAL_BUDGET, n,
-                                       consts)
+        # J(1_I) over windows, whose |f| <= 1: the hypotheses hold
+        return payload, overlay_bounds(curve, k, sigma, *box_budget(1), n,
+                                       consts), {}
 
     space = _build_space(_require(cfg, "space", dict), "space")
     family = _build_family(_require(cfg, "family", dict), "family", space, k)
@@ -276,6 +279,7 @@ def execute(cfg: dict, workers: int = 1):
         x = _require(cfg, "x", (int, float))
         payload, curve = symmetrization_experiment(family, space, n, float(x),
                                                    reps, seed, workers=workers)
+        kind = "J"  # n^{-1/2} sum f_c(xi_j) is J(f) of the uncentred f
     elif exp == "sup_tail":
         grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
         kind = _require(cfg, "statistic", str, lambda v: v in ("J", "I", "decoupled-I"),
@@ -287,19 +291,25 @@ def execute(cfg: dict, workers: int = 1):
         grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
         payload, curve = decoupling_experiment(family, space, n, k, grid, reps,
                                                seed, workers=workers)
+        kind = "I"  # the coupled curve
     else:
         raise ConfigError("experiment", f"unknown experiment {exp!r}")
     # read after the run, so the family's table cache is never shipped to workers
-    payload["family"] = {"members": len(family),
-                         "unique_tables": int(family.unique_tables()[0].shape[0])}
+    tables = family.unique_tables()[0]
+    payload["family"] = {"members": len(family), "unique_tables": tables.shape[0]}
     if exp == "sup_tail":  # fitted after the table build, which peaks lower in RSS
         try:
             slope, stderr = exponent_fit(curve)
             payload["exponent_fit"] = {"slope": slope, "stderr": stderr}
         except TooFewQualifyingPoints:
             payload["exponent_fit"] = None
+    # the Theorem bounds the tail of sup |J| over members with |f| <= 1
+    failed = {} if kind == "J" else {"statistic": kind}
+    sup = float(max(tables.max(), -tables.min()))  # no |tables| temporary
+    if sup > 1 + 1e-12:
+        failed["sup_norm"] = sup
     return payload, overlay_bounds(curve, k, family.sigma, family.D, family.L,
-                                   family.beta, n, consts)
+                                   n, consts, not failed), failed
 
 
 def run(config_path: str, out_dir: str, workers: int = 1,
@@ -312,7 +322,7 @@ def run(config_path: str, out_dir: str, workers: int = 1,
         if seed_override is not None:
             cfg["seed"] = seed_override
         t0 = time.monotonic()
-        payload, rows = execute(cfg, workers=workers)
+        payload, rows, failed = execute(cfg, workers=workers)
         elapsed = time.monotonic() - t0
     except InvalidArgument as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -327,6 +337,8 @@ def run(config_path: str, out_dir: str, workers: int = 1,
     report = {"config": cfg, "payload": payload,
               "wall_clock_seconds": elapsed, "workers": ran,
               "version": __version__, "seed": cfg["seed"]}
+    if failed:
+        report["failed_hypotheses"] = failed
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

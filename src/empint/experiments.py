@@ -145,8 +145,7 @@ def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
     F = _member_matrix(family)
     centered = ExplicitFamily([KernelFunction(row) for row in
                               F - (F @ space.weights)[:, None]],
-                             D=family.D, L=family.L, beta=family.beta,
-                             sigma=family.sigma)
+                             D=family.D, L=family.L, sigma=family.sigma)
     both = _run_blocks((centered, space, n, 1, ("I", "randomized-I"), seed),
                        reps, workers) / sqrt(n)
     curve = tail_curve(both[:, 0], [x])

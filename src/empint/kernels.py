@@ -99,14 +99,8 @@ def product_weights(nu, k: int, m: int) -> np.ndarray:
 class FunctionFamily:
     """Indexed family of same-arity kernels with an L2-density budget."""
 
-    def __init__(self, k: int, m: int, D: float, L: float, beta: float = 0.0,
-                 sigma: float = 1.0):
-        self.k = k
-        self.m = m
-        self.D = D
-        self.L = L
-        self.beta = beta
-        self.sigma = sigma
+    def __init__(self, k: int, m: int, D: float, L: float, sigma: float = 1.0):
+        self.k, self.m, self.D, self.L, self.sigma = k, m, D, L, sigma
 
     def _distinct(self):
         """(candidate flat tables, member -> candidate id): the one hook a
@@ -169,12 +163,11 @@ class FunctionFamily:
 
 
 class ExplicitFamily(FunctionFamily):
-    def __init__(self, kernels, D: float, L: float, beta: float = 0.0,
-                 sigma: float = 1.0):
+    def __init__(self, kernels, D: float, L: float, sigma: float = 1.0):
         kernels = list(kernels)
         if not kernels:
             raise ValueError("empty family")
-        super().__init__(kernels[0].k, kernels[0].m, D, L, beta, sigma)
+        super().__init__(kernels[0].k, kernels[0].m, D, L, sigma)
         self.kernels = kernels
 
     def _distinct(self):
@@ -188,13 +181,22 @@ def singleton_family(f: KernelFunction, sigma: float = 1.0) -> ExplicitFamily:
     return ExplicitFamily([f], D=1.0, L=1.0, sigma=sigma)
 
 
-# (D, L, beta): L2-density budget of the d=1 box construction at k=1
-INTERVAL_BUDGET = (4.0, 2.0, 0.0)
+def box_budget(k: int) -> tuple:
+    """(D, L) declared for box restrictions in k axes, from the rectangular-box
+    cover construction with d = 1: D = 2**(k*(k+1)*d*d), L = 2*k*d."""
+    return float(2 ** (k * (k + 1))), float(2 * k)
 
 
-def interval_family(sigma: float, grid: int) -> ExplicitFamily:
+def _window_count(cap: int, cells: int) -> int:
+    """Nonempty windows [u, v) of at most `cap` cells within `cells` cells."""
+    c = min(cap, cells)
+    return c * (cells + 1) - c * (c + 1) // 2
+
+
+def interval_family(sigma: float, grid: int) -> BoxRestrictionFamily:
     """Indicator kernels of all grid-aligned subintervals of [0,1] with
-    length at most sigma**2, over the uniform grid with `grid` cells.
+    length at most sigma**2, the empty one included, over the uniform grid
+    with `grid` cells: the k=1 box family of f = 1 with a window cap.
 
     Includes the floor(1/sigma**2) disjoint intervals of exact length
     sigma**2 whenever the grid resolves them.
@@ -205,55 +207,53 @@ def interval_family(sigma: float, grid: int) -> ExplicitFamily:
     if max_cells < 1 or grid < int(np.ceil(1.0 / sigma ** 2)):
         raise InvalidArgument("grid", "too coarse to represent length-sigma^2 "
                                       "intervals")
-    count = max_cells * (grid + 1) - max_cells * (max_cells + 1) // 2
+    count = _window_count(max_cells, grid)
     if count * grid > TABLE_LIMIT:
         raise InvalidArgument("grid", f"{count} intervals x {grid} cells exceed 2^27 entries")
-    kernels = []
-    for length in range(1, max_cells + 1):
-        for start in range(0, grid - length + 1):
-            table = np.zeros(grid)
-            table[start:start + length] = 1.0
-            kernels.append(KernelFunction(table))
-    return ExplicitFamily(kernels, *INTERVAL_BUDGET, sigma=sigma)
+    return BoxRestrictionFamily(KernelFunction(np.ones(grid)), grid,
+                                max_cells=max_cells, sigma=sigma)
 
 
 class BoxRestrictionFamily(FunctionFamily):
-    """Restrictions of a bounded kernel f to all grid-aligned boxes.
+    """Restrictions of a bounded kernel f to grid-aligned boxes, products of
+    half-open cell index ranges [u_s, v_s) (d=1 per axis) of at most
+    `max_cells` cells each (None: any), with budget box_budget(k)."""
 
-    Realized for d=1 per axis: a box is a product of half-open cell index
-    ranges [u_s, v_s). Budget documented from the rectangular-box cover
-    construction: exponent L = 2*k*d and parameter D = 2**(k*(k+1)*d*d),
-    with d = 1 here.
-    """
-
-    def __init__(self, f: KernelFunction, grid_per_axis: int):
+    def __init__(self, f: KernelFunction, grid_per_axis: int,
+                 max_cells: int | None = None, sigma: float = 1.0):
         if sup_norm(f) > 1 + 1e-12:
             raise ValueError("base kernel must satisfy |f| <= 1")
         if f.table.shape != (grid_per_axis,) * f.k:
             raise ValueError("base kernel is not tabulated on the stated grid")
-        k = f.k
-        super().__init__(k, f.m, D=float(2 ** (k * (k + 1))), L=float(2 * k))
+        if max_cells is not None and max_cells < 0:
+            raise ValueError("max_cells must be >= 0")
+        super().__init__(f.k, f.m, *box_budget(f.k), sigma=sigma)
         self.f = f
+        self.max_cells = f.m if max_cells is None else min(max_cells, f.m)
         # per-axis support hull [lo, hi) of f, (0, 0) when f is zero
-        support = np.abs(f.table) > 0
-        self.hulls = []
-        for axis in range(k):
-            idx = np.nonzero(np.any(support, axis=tuple(
-                a for a in range(k) if a != axis)))[0]
-            self.hulls.append((int(idx[0]), int(idx[-1]) + 1) if idx.size else (0, 0))
-        # one member per box; _distinct builds one table per nonempty clipped
-        # box, plus the zero table
-        members = ((f.m + 1) * (f.m + 2) // 2) ** k
-        tables = math.prod((hi - lo) * (hi - lo + 1) // 2 for lo, hi in self.hulls) + 1
-        if max(members, tables * f.m ** k) > TABLE_LIMIT:
-            raise ValueError(f"{members} boxes, or {tables} distinct tables x "
-                             f"{f.m ** k} cells, exceed 2^27 entries")
+        self.hulls = [(int(c.min()), int(c.max()) + 1) if c.size else (0, 0)
+                      for c in np.nonzero(f.table)]
+        # per axis: nonempty and m + 1 empty windows (members), nonempty clips
+        members = (_window_count(self.max_cells, f.m) + f.m + 1) ** self.k
+        tables = math.prod(_window_count(self.max_cells, hi - lo)
+                           for lo, hi in self.hulls)
+        if max(members, tables * f.m ** self.k) > TABLE_LIMIT:
+            raise ValueError(f"{members} boxes, or {tables} nonempty tables x "
+                             f"{f.m ** self.k} cells, exceed 2^27 entries")
+
+    @functools.cached_property
+    def _intervals(self) -> np.ndarray:
+        """Per-axis windows (u, u + j), j <= max_cells, by u, then j."""
+        u, j = np.divmod(np.arange((self.m + 1) * (self.max_cells + 1)),
+                         self.max_cells + 1)
+        keep = u + j <= self.m
+        return np.stack([u[keep], u[keep] + j[keep]], axis=1)
 
     @property
     def boxes(self) -> list:
         """Each member's box, in member order."""
-        intervals = [(u, v) for u in range(self.m + 1) for v in range(u, self.m + 1)]
-        return list(itertools.product(intervals, repeat=self.k))
+        return list(itertools.product(map(tuple, self._intervals.tolist()),
+                                      repeat=self.k))
 
     def _distinct(self):
         """Candidate restrictions, grouped in one vectorised step.
@@ -265,8 +265,7 @@ class BoxRestrictionFamily(FunctionFamily):
         different clips can still give equal tables (f = [1, 0, 1] on
         [1, 2) is zero), which the base class merges.
         """
-        k, m = self.k, self.m
-        iv = np.stack(np.triu_indices(m + 1), axis=1)  # the (u, v) with u <= v
+        k, m, iv = self.k, self.m, self._intervals
         # code of a box: the per-axis (u, v) of its clipped box as digits in
         # base m + 1, or -1 when a clip is empty
         code = np.zeros((1,) * k, dtype=np.int64)
@@ -278,9 +277,9 @@ class BoxRestrictionFamily(FunctionFamily):
             empty = empty | (cu >= cv).reshape(shape)
         code = np.where(empty, -1, code).ravel()
 
-        # ascending codes are already in first-seen order: box 0 is empty,
-        # and per axis the first interval clipping to [a, b) is [a, b), or
-        # [0, b) when a is the support's start, which keeps the order
+        # ascending codes are already in first-seen order: box 0 is empty, and
+        # per axis the first interval clipping to [a, b) is [a, b), or, when a
+        # is the support's start, [u, b) from the least u the cap allows
         _, reps, group = np.unique(code, return_index=True, return_inverse=True)
         inside = (iv[:, :1] <= np.arange(m)) & (np.arange(m) < iv[:, 1:])
         mask = np.ones((reps.size,) + (1,) * k, dtype=bool)

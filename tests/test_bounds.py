@@ -33,21 +33,21 @@ def test_constants_from_dict_overrides():
 
 def test_theorem_bound_region_independent_of_value():
     c = BoundConstants(k=1)
-    bound, applicable = theorem_bound(1e-6, 100, 1, 0.5, 2.0, 1.0, 0.0, c)
+    bound, applicable = theorem_bound(1e-6, 100, 1, 0.5, 2.0, 1.0, c)
     assert not applicable
     assert 0 < bound <= 1
 
 
 def test_theorem_bound_at_zero():
     c = BoundConstants(k=1, C=0.3)
-    bound, _ = theorem_bound(0.0, 100, 1, 0.5, 2.0, 1.0, 0.0, c)
+    bound, _ = theorem_bound(0.0, 100, 1, 0.5, 2.0, 1.0, c)
     assert bound == pytest.approx(min(1.0, 0.3 * 2.0))
 
 
 def test_theorem_bound_monotone_in_x():
     c = BoundConstants(k=2, C=1e-3)
     xs = np.linspace(0.1, 5.0, 30)
-    vals = [theorem_bound(float(x), 1000, 2, 0.5, 1.0, 1.0, 0.0, c)[0] for x in xs]
+    vals = [theorem_bound(float(x), 1000, 2, 0.5, 1.0, 1.0, c)[0] for x in xs]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -55,20 +55,20 @@ def test_theorem_bound_monotone_in_x():
 def test_bounds_saturate_where_the_power_overflows(x, sigma):
     # (x/sigma)^2 overflows at k = 1: both bounds are 0, outside the region
     c = BoundConstants(k=1)
-    assert theorem_bound(x, 100, 1, sigma, 2.0, 1.0, 0.0, c) == (0.0, False)
+    assert theorem_bound(x, 100, 1, sigma, 2.0, 1.0, c) == (0.0, False)
     assert corollary2_bound(x / sigma, 1, c) == 0.0
 
 
 def test_theorem_bound_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        theorem_bound(1.0, 10, 1, 1.5, 1.0, 1.0, 0.0, BoundConstants(k=1))
+        theorem_bound(1.0, 10, 1, 1.5, 1.0, 1.0, BoundConstants(k=1))
 
 
 def test_theorem_applicability_region_monotone():
     c = BoundConstants(k=1, M=1.0)
     n, k, sigma = 10 ** 6, 1, 0.25
     xs = np.linspace(0.01, sigma * (n * sigma ** 2) ** (k / 2), 200)
-    flags = [theorem_bound(float(x), n, k, sigma, 1.0, 1.0, 0.0, c)[1] for x in xs]
+    flags = [theorem_bound(float(x), n, k, sigma, 1.0, 1.0, c)[1] for x in xs]
     if True in flags:
         first = flags.index(True)
         assert all(flags[first:])
@@ -93,7 +93,7 @@ def test_bounds_in_unit_interval():
     rng = stream_rng(1, 0)
     for _ in range(100):
         x = float(rng.uniform(0, 50))
-        b, _ = theorem_bound(x, 100, 2, 0.5, 4.0, 2.0, 1.0, c)
+        b, _ = theorem_bound(x, 100, 2, 0.5, 4.0, 2.0, c)
         assert 0 < b <= 1
         assert 0 < corollary2_bound(x, 2, c) <= 1
 

@@ -423,8 +423,9 @@ def test_chaos_bounds_saturate_where_the_power_overflows(tmp_path):
     # 10 x 10 boxes of its full support hull and the zero table hold only
     # 73 distinct tables, as boxes whose extra cells are zero repeat others
     (PINNED_CURVES[2][0], 1, 225, 73),
-    # 16 + 15 + 14 + 13 distinct intervals of 1 to 4 cells
-    (PINNED_CURVES[1][0], 2, 58, 58),
+    # 16 + 15 + 14 + 13 distinct intervals of 1 to 4 cells, and 17 empty
+    # ones, which share the zero table
+    (PINNED_CURVES[1][0], 2, 75, 59),
 ])
 def test_report_records_workers_and_family_size(tmp_path, cfg, workers,
                                                 members, unique):
@@ -555,7 +556,7 @@ def test_non_finite_or_negative_x_rejected(tmp_path, capsys, experiment, x_grid)
 def test_overlay_empty_grid():
     curve = {"x_grid": [], "probs": [], "ci_lo": [], "ci_hi": [],
              "replications": 1}
-    rows = overlay_bounds(curve, 1, 0.5, 4.0, 2.0, 0.0, 100, BoundConstants(k=1))
+    rows = overlay_bounds(curve, 1, 0.5, 4.0, 2.0, 100, BoundConstants(k=1))
     assert rows == []
 
 
@@ -563,10 +564,57 @@ def test_overlay_bound_capped_at_one():
     p = [0.9, 0.5]
     curve = {"x_grid": [0.0, 0.1], "probs": p, "ci_lo": p, "ci_hi": p,
              "replications": 100}
-    rows = overlay_bounds(curve, 1, 0.5, 4.0, 2.0, 0.0, 100, BoundConstants(k=1))
+    rows = overlay_bounds(curve, 1, 0.5, 4.0, 2.0, 100, BoundConstants(k=1))
     for r in rows:
         assert 0 < r["theorem_bound"] <= 1
         assert 0 < r["corollary_bound"] <= 1
+
+
+# --- a row is applicable only where the Theorem's hypotheses hold ----------
+
+_HYPOTHESIS_RUN = {"experiment": "sup_tail", "n": 400, "k": 2, "reps": 100,
+                   "space": {"points": 4, "weights": "uniform"}}
+
+
+def _applicable_flags(tmp_path, cfg):
+    """(applicable column, the report's failed hypotheses or None)."""
+    out = tmp_path / "out"
+    assert run(_write(tmp_path, cfg), str(out)) == 0
+    rows = (out / "curve.csv").read_text().splitlines()[1:]
+    report = json.loads((out / "report.json").read_text())
+    return [r.rsplit(",", 1)[1] for r in rows], report.get("failed_hypotheses")
+
+
+def test_statistic_other_than_j_is_never_applicable(tmp_path):
+    # the region test passes at x >= 200, beside bounds of 1e-10 to 4e-19
+    # far below the coupled I tail (p = 0.23 to 0.08): the Theorem bounds J
+    cfg = dict(_HYPOTHESIS_RUN, seed=1, statistic="I",
+               family={"kind": "random-canonical", "count": 3, "kernel_seed": 2},
+               x_grid=[50, 100, 200, 250, 300, 350])
+    flags, failed = _applicable_flags(tmp_path, cfg)
+    assert flags == ["0"] * 6
+    assert failed["statistic"] == "I"
+
+
+def test_members_above_sup_norm_one_are_never_applicable(tmp_path):
+    # sigma-rescaled canonical members reach |f| = 1.80, above the
+    # Theorem's |f| <= 1; the region test passes on every row
+    cfg = dict(_HYPOTHESIS_RUN, seed=3, statistic="J", constants={"M": 0.01},
+               family={"kind": "random-canonical", "count": 2, "kernel_seed": 4},
+               x_grid=[0.1, 0.2, 0.4, 0.8, 1.6])
+    flags, failed = _applicable_flags(tmp_path, cfg)
+    assert flags == ["0"] * 5
+    assert failed == {"sup_norm": pytest.approx(1.8011727787644, rel=1e-12)}
+
+
+def test_j_on_windows_keeps_its_applicable_rows(tmp_path):
+    cfg = dict(_HYPOTHESIS_RUN, seed=3, k=1, statistic="J", constants={"M": 0.01},
+               space={"points": 16, "weights": "uniform"},
+               family={"kind": "interval", "sigma": 0.5, "grid": 16},
+               x_grid=[0.1, 0.2, 0.4, 0.8, 1.6])
+    flags, failed = _applicable_flags(tmp_path, cfg)
+    assert flags == ["0", "1", "1", "1", "1"]
+    assert failed is None
 
 
 # --- invalid constants and singleton sigma exit 2 before any work ----------

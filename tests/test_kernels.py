@@ -70,8 +70,8 @@ def test_l2_at_most_sup(m, k, seed):
 
 def test_interval_family_sigma_one():
     fam = interval_family(1.0, 4)
-    # all sub-intervals of 1..4 cells: 4 + 3 + 2 + 1
-    assert len(fam) == 10
+    # all sub-intervals of 1..4 cells, 4 + 3 + 2 + 1, and the 5 empty ones
+    assert len(fam) == 15
     assert any(np.all(f.table == 1.0) for f in fam.members)
 
 
@@ -103,6 +103,40 @@ def test_interval_family_contains_disjoint_full_length_intervals():
 def test_interval_family_grid_too_coarse():
     with pytest.raises(ValueError):
         interval_family(0.3, 8)  # needs ceil(1/0.09) = 12 cells
+
+
+@pytest.mark.parametrize("sigma, grid", [(0.1, 200), (0.5, 16), (1.0, 4)])
+def test_interval_family_nonzero_tables_are_the_windows(sigma, grid):
+    # one indicator per window of 1 to floor(sigma^2 grid) cells, built
+    # window by window
+    cap = int(np.floor(sigma ** 2 * grid + 1e-9))
+    windows = set()
+    for length in range(1, cap + 1):
+        for start in range(grid - length + 1):
+            table = np.zeros(grid)
+            table[start:start + length] = 1.0
+            windows.add(table.tobytes())
+    tables = interval_family(sigma, grid).unique_tables()[0]
+    nonzero = [t.tobytes() for t in tables if t.any()]
+    assert len(nonzero) == len(windows)
+    assert set(nonzero) == windows
+
+
+def test_interval_family_size_check_counts_capped_windows():
+    # the default grid of the sigma = 0.05 counterexample: windows of at
+    # most 2 of 800 cells, 801 of them empty, 1,599 not
+    fam = interval_family(0.05, 800)
+    assert len(fam) == 2400
+    assert fam.unique_tables()[0].shape[0] == 1600
+
+
+def test_interval_family_at_the_table_cap_is_accepted():
+    # 11,585 one-cell windows x 11,585 cells is 5,503 entries below 2^27, so
+    # the family is accepted: the size check leaves out the zero table,
+    # which would push it past by one row (construction builds no table)
+    grid = 11585
+    fam = interval_family((1.5 / grid) ** 0.5, grid)
+    assert fam.max_cells == 1
 
 
 # --- box restriction family ------------------------------------------------
@@ -194,6 +228,36 @@ def test_box_family_tables_equal_per_box_slices(k, m, table):
         len(set(keys))
     if not table.any():
         assert tables.shape[0] == 1
+
+
+def _capped_boxes(m, k, cap):
+    """Every box with at most `cap` cells per axis, in member order."""
+    windows = [(u, v) for u in range(m + 1) for v in range(u, min(u + cap, m) + 1)]
+    return list(itertools.product(windows, repeat=k))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, "m"])
+@pytest.mark.parametrize("k, m", [(1, 7), (2, 5)])
+def test_capped_box_family_equals_tables_built_box_by_box(k, m, cap):
+    cap = m if cap == "m" else cap
+    # support hull from cell 1, with an interior zero, so that boxes with
+    # different clips can give equal tables
+    f = np.zeros((m,) * k)
+    f[(slice(1, m),) * k] = stream_rng(31, k).uniform(-1, 1, size=(m - 1,) * k)
+    f[(2,) * k] = 0.0
+    boxes = _capped_boxes(m, k, cap)
+    seen, group = {}, []
+    for box in boxes:
+        group.append(seen.setdefault(_key(_slice_member(KernelFunction(f), box)),
+                                     len(seen)))
+    fam = BoxRestrictionFamily(KernelFunction(f), m, max_cells=cap)
+    tables, got = fam.unique_tables()
+    assert fam.boxes == boxes
+    assert [_key(t) for t in tables] == list(seen)  # first seen first
+    assert got.tolist() == group
+    if cap == m:
+        full = BoxRestrictionFamily(KernelFunction(f), m).unique_tables()
+        assert np.array_equal(full[0], tables) and np.array_equal(full[1], got)
 
 
 def test_unique_tables_merge_tables_equal_as_numbers():
@@ -399,8 +463,12 @@ def test_product_weights_reads_every_input_alike():
      ValueError),
     # one distinct table, but 16,384 * 16,385 / 2 boxes on 16,383 cells
     (lambda: BoxRestrictionFamily(KernelFunction(np.zeros(16383)), 16383),
-     ValueError)],
-    ids=["interval", "box-tables", "box-members"])
+     ValueError),
+    # boxes of at most 3 x 3 cells on 400^2 cells: 1,197^2 nonempty tables
+    # of 160,000 entries
+    (lambda: BoxRestrictionFamily(KernelFunction(np.full((400, 400), 0.5)), 400,
+                                  max_cells=3), ValueError)],
+    ids=["interval", "box-tables", "box-members", "box-capped"])
 def test_family_too_big_to_tabulate_is_refused_before_allocating(build, error):
     tracemalloc.start()
     try:
