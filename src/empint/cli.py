@@ -24,7 +24,7 @@ from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
 from .decomposition import canonicalize
 from .kernels import (BoxRestrictionFamily, ExplicitFamily, KernelFunction,
                       _check_shape, box_budget, interval_family, l2_norm,
-                      singleton_family)
+                      product_weights, singleton_family)
 from .spaces import (TABLE_LIMIT, InvalidArgument, ProbabilitySpace,
                      finite_space, stream_rng, uniform_space)
 from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
@@ -279,7 +279,7 @@ def execute(cfg: dict, workers: int = 1):
         x = _require(cfg, "x", (int, float))
         payload, curve = symmetrization_experiment(family, space, n, float(x),
                                                    reps, seed, workers=workers)
-        kind = "J"  # n^{-1/2} sum f_c(xi_j) is J(f) of the uncentred f
+        kind = "J"
     elif exp == "sup_tail":
         grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
         kind = _require(cfg, "statistic", str, lambda v: v in ("J", "I", "decoupled-I"),
@@ -303,11 +303,16 @@ def execute(cfg: dict, workers: int = 1):
             payload["exponent_fit"] = {"slope": slope, "stderr": stderr}
         except TooFewQualifyingPoints:
             payload["exponent_fit"] = None
-    # the Theorem bounds the tail of sup |J| over members with |f| <= 1
+    # the Theorem bounds the tail of sup |J| over members with |f| <= 1 and
+    # ||f||_2 <= sigma; the sigma slack covers interval_family's floor
     failed = {} if kind == "J" else {"statistic": kind}
     sup = float(max(tables.max(), -tables.min()))  # no |tables| temporary
     if sup > 1 + 1e-12:
         failed["sup_norm"] = sup
+    sq = np.einsum("ij,ij,j->i", tables, tables, product_weights(space, k, space.m))
+    l2 = float(np.sqrt(sq.max()))  # no tables ** 2 temporary
+    if l2 > family.sigma * (1 + 1e-9):
+        failed["l2_norm"] = l2
     return payload, overlay_bounds(curve, k, family.sigma, family.D, family.L,
                                    n, consts, not failed), failed
 

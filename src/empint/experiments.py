@@ -13,10 +13,9 @@ from math import factorial, log, sqrt
 import numpy as np
 
 from .chaos import ChaosCoefficients
-from .kernels import ExplicitFamily, FunctionFamily, KernelFunction, \
-    interval_family
+from .kernels import FunctionFamily, interval_family
 from .spaces import TABLE_LIMIT, InvalidArgument, ProbabilitySpace, \
-    signed_increment, uniform_space
+    uniform_space
 from .statistics import SampleDraw, distinct_weights, draw_bundle, \
     increment_weights
 
@@ -58,22 +57,21 @@ def _member_matrix(family: FunctionFamily) -> np.ndarray:
 
 def statistic_weights(kind: str, draw: SampleDraw) -> np.ndarray:
     """Flat weight vector so that the statistic of any arity-k kernel f is
-    flat(f.table) @ weights.  Besides the sup_tail kinds, "randomized-I" is
-    the sign-randomized I (symmetrization) and "increment" the bare signed
-    increment mu_n - mu at k=1 (counterexample)."""
+    flat(f.table) @ weights.  "increment" is J read as a one-sided maximum;
+    "randomized-J" (k=1) is n^{-1/2} sum_j s_j (f(xi_j) - mu f), centred by
+    its weights: (f - mu f) . w = f . (w - (sum w) mu)."""
     space, k = draw.space, draw.k
-    if kind == "J":
+    if kind in ("J", "increment"):
         w = increment_weights(draw.base, space, k)
     elif kind == "I":
         w = distinct_weights([draw.base] * k, space.m)
-    elif kind == "randomized-I":
-        w = distinct_weights([draw.base] * k, space.m, draw.signs)
+    elif kind == "randomized-J" and k == 1:
+        w = distinct_weights([draw.base], space.m, draw.signs)
+        w = (w - w.sum() * space.weights) / sqrt(draw.n)
     elif kind == "decoupled-I":
         w = distinct_weights(draw.decoupled, space.m)
-    elif kind == "increment":
-        w = signed_increment(draw.base, space)
     else:
-        raise ValueError(f"unknown statistic kind {kind!r}")
+        raise ValueError(f"unknown statistic kind {kind!r} at k={k}")
     return w.ravel()
 
 
@@ -116,7 +114,8 @@ def _run_blocks(args_template, reps: int, workers: int) -> np.ndarray:
 def mc_sup_tail(family: FunctionFamily, space: ProbabilitySpace, n: int, k: int,
                 statistic_kind: str, x_grid, reps: int, seed: int,
                 workers: int = 1) -> dict:
-    """Empirical exceedance curve of sup over the family of |statistic|."""
+    """Empirical exceedance curve of the family supremum of |statistic|, or
+    of the statistic itself for the one-sided "increment"."""
     if family.k != k:
         raise ValueError("family arity does not match k")
     maxima = _run_blocks((family, space, n, k, (statistic_kind,), seed), reps,
@@ -130,24 +129,20 @@ def mc_sup_tail(family: FunctionFamily, space: ProbabilitySpace, n: int, k: int,
 def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
                               n: int, x: float, reps: int, seed: int,
                               workers: int = 1) -> tuple[dict, dict]:
-    """Compare P(sup |n^{-1/2} sum f(xi_j)| >= x) with four times the tail of
-    its sign-randomized version at x/3.
+    """Compare P(sup |J| >= x), J = n^{-1/2} sum (f(xi_j) - mu f), with four
+    times the tail of its sign-randomized version at x/3.
 
-    Members are centered against the space first (the comparison concerns
-    canonical families; uncentered members carry a deterministic drift that
-    the sign-randomized side cannot see).  Returns the record of both sides
-    with their intervals, and the plain tail at x that lhs is read from.
+    Both sides are centred against the space, as uncentred members carry a
+    deterministic drift that the sign-randomized side cannot see.  Returns
+    the record of both sides with their intervals, and the plain tail at x
+    that lhs is read from.
     """
     if family.k != 1:
         raise InvalidArgument("family", "symmetrization needs a k=1 family")
     if not x >= 0:
         raise InvalidArgument("x", "must be >= 0")
-    F = _member_matrix(family)
-    centered = ExplicitFamily([KernelFunction(row) for row in
-                              F - (F @ space.weights)[:, None]],
-                             D=family.D, L=family.L, sigma=family.sigma)
-    both = _run_blocks((centered, space, n, 1, ("I", "randomized-I"), seed),
-                       reps, workers) / sqrt(n)
+    both = _run_blocks((family, space, n, 1, ("J", "randomized-J"), seed),
+                       reps, workers)
     curve = tail_curve(both[:, 0], [x])
     randomized = tail_curve(both[:, 1], [x / 3.0])
     rhs = [min(1.0, 4.0 * randomized[key][0]) for key in ("probs", "ci_lo", "ci_hi")]
@@ -201,14 +196,11 @@ def counterexample_experiment(sigma: float, n: int, epsilon: float, reps: int,
         raise InvalidArgument("n", "n*sigma^2 must be >= 8")
     if grid is None:
         grid = 2 * int(np.ceil(1.0 / sigma ** 2))
-    family = interval_family(sigma, grid)
-    space = uniform_space(grid)
-    sups = _run_blocks((family, space, n, 1, ("increment",), seed), reps,
-                       workers)[:, 0] * sqrt(n)
     x_star = sqrt(2.0 * log(1.0 / sigma)) * sigma
     x_low = (1 - epsilon) * x_star
     x_high = (1 + epsilon) * x_star
-    curve = tail_curve(sups, [x_low, x_high])
+    curve = mc_sup_tail(interval_family(sigma, grid), uniform_space(grid), n, 1,
+                        "increment", [x_low, x_high], reps, seed, workers)
     record = {"x_star": x_star, "x_low": x_low, "p_low": curve["probs"][0],
               "x_high": x_high, "p_high": curve["probs"][1],
               "grid": grid, "replications": reps}

@@ -14,6 +14,8 @@ import numpy as np
 WEIGHT_TOL = 1e-12
 # most entries of one array an argument may ask for: 1 GiB of float64
 TABLE_LIMIT = 2 ** 27
+# uniforms per inverse-CDF pass of draw_sample, which bounds its temporaries
+SAMPLE_CHUNK = 2 ** 16
 
 
 class InvalidArgument(ValueError):
@@ -115,10 +117,15 @@ def draw_sample(space: ProbabilitySpace, n: int, seed: int,
 
     Ties in the CDF are broken toward the lower index (searchsorted 'right'),
     so results do not depend on the platform's floating-point quirks.
+    Uniforms are read SAMPLE_CHUNK at a time; the chunks continue one stream.
     """
     if not 1 <= n <= TABLE_LIMIT:
         raise InvalidArgument("n", "must be in 1..2^27")
-    sample = space.inverse_cdf(stream_rng(seed, stream_id).random(n))
+    rng = stream_rng(seed, stream_id)
+    sample = np.empty(n, dtype=np.int64)
+    for start in range(0, n, SAMPLE_CHUNK):
+        u = rng.random(min(SAMPLE_CHUNK, n - start))
+        sample[start:start + u.size] = space.inverse_cdf(u)
     sample.setflags(write=False)
     return sample
 

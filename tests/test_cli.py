@@ -339,6 +339,13 @@ PINNED_CURVES = [
      "3,0.25,0.25,0.25,1,1,0\n"
      "4,0,0,0,1,1,0\n"
      "80,0,0,0,0.872994059712,0.0434638149356,1\n"),
+    # symmetrization over random-canonical members on a space with a
+    # zero-weight atom, as written while symmetrization still built a
+    # centred copy of the family
+    ({"experiment": "symmetrization", "seed": 2, "n": 200, "k": 1,
+      "reps": 300, "x": 0.8, "space": {"weights": [0.1, 0.2, 0.3, 0.4, 0.0]},
+      "family": {"kind": "random-canonical", "count": 4, "kernel_seed": 3}},
+     "0.8,0.463333333333,0.407725883129,0.519867934761,1,1,0\n"),
 ]
 
 
@@ -605,6 +612,26 @@ def test_members_above_sup_norm_one_are_never_applicable(tmp_path):
     flags, failed = _applicable_flags(tmp_path, cfg)
     assert flags == ["0"] * 5
     assert failed == {"sup_norm": pytest.approx(1.8011727787644, rel=1e-12)}
+
+
+@pytest.mark.parametrize("space, family, l2", [
+    # ||f||_2 = 0.707 under uniform mu, against sigma = 0.1: unflagged, the
+    # row at x = 0.5 printed p = 0.475 beside a theorem bound of 0.273
+    ({"points": 4, "weights": "uniform"},
+     {"kind": "singleton", "sigma": 0.1, "table": [1, -1, 0, 0]}, 0.5 ** 0.5),
+    # windows of at most sigma^2 = 1/4 of the grid, on a skewed space: the
+    # first cell alone carries mass 0.4
+    ({"weights": [0.4, 0.3, 0.2, 0.1]},
+     {"kind": "interval", "sigma": 0.5, "grid": 4}, 0.4 ** 0.5),
+], ids=["singleton", "interval-skewed"])
+def test_members_above_the_l2_hypothesis_are_never_applicable(tmp_path, space,
+                                                              family, l2):
+    cfg = dict(_HYPOTHESIS_RUN, seed=1, k=1, n=2500, reps=400, statistic="J",
+               constants={"M": 0.01}, space=space, family=family,
+               x_grid=[0.25, 0.5, 0.75, 1])
+    flags, failed = _applicable_flags(tmp_path, cfg)
+    assert flags == ["0"] * 4
+    assert failed == {"l2_norm": pytest.approx(l2, rel=1e-12)}
 
 
 def test_j_on_windows_keeps_its_applicable_rows(tmp_path):

@@ -10,6 +10,7 @@ from empint.chaos import (ChaosCoefficients, chaos_values_all_signs,
                           exact_chaos_tail)
 from empint.decomposition import canonicalize
 from empint import experiments, spaces, statistics
+from empint.cli import _build_family
 from empint.kernels import BoxRestrictionFamily, KernelFunction, \
     interval_family, l2_norm, singleton_family
 from empint.spaces import draw_sample, finite_space, stream_rng, uniform_space
@@ -118,7 +119,8 @@ def test_mc_sup_tail_worker_independence():
     assert a["ci_lo"] == b["ci_lo"]
 
 
-@pytest.mark.parametrize("k, kinds", [(1, ("J", "I", "decoupled-I", "increment")),
+@pytest.mark.parametrize("k, kinds", [(1, ("J", "I", "decoupled-I", "increment",
+                                          "randomized-J")),
                                       (2, ("J", "I", "decoupled-I"))])
 def test_supremum_over_unique_tables_equals_full_member_matrix(k, kinds):
     """Dropping duplicate rows leaves every maximum bit for bit the same."""
@@ -309,6 +311,48 @@ def test_symmetrization_population_inequality_with_slack():
     res, _ = symmetrization_experiment(fam, sp, 1024, 0.35, 2000, seed=7)
     # population inequality plus both confidence slacks
     assert res["lhs_interval"][0] <= res["rhs_interval"][1] + 1e-12
+
+
+_ZERO_ATOM = finite_space([0.05, 0.2, 0.0, 0.25, 0.1, 0.4])
+_ZERO_ATOM_LAST = finite_space([0.1, 0.2, 0.3, 0.4, 0.0])
+
+
+@pytest.mark.parametrize("family, space, merged", [
+    (interval_family(0.5, 6), _ZERO_ATOM, 0),
+    (BoxRestrictionFamily(KernelFunction(stream_rng(8, 0).uniform(-1, 1, size=6)), 6),
+     _ZERO_ATOM, 0),
+    (_build_family({"kind": "random-canonical", "count": 4, "kernel_seed": 3},
+                   "family", _ZERO_ATOM_LAST, 1), _ZERO_ATOM_LAST, 0),
+    # centring merges the full and the empty window into one zero table
+    (interval_family(1.0, 4), uniform_space(4), 1),
+    (interval_family(1.0, 4), finite_space([0.1, 0.2, 0.3, 0.4]), 1),
+], ids=["interval", "box", "random-canonical", "interval-full", "interval-full-skewed"])
+def test_symmetrization_maxima_equal_the_centred_family_reference(family, space,
+                                                                  merged):
+    """Both sides carry their centring on the weights: sup |J| and its
+    sign-randomized twin equal n^{-1/2} times the suprema of the plain and
+    sign-weighted counts over the distinct centred tables f - mu f."""
+    n, reps, seed = 60, 40, 23
+    F = _member_matrix(family)
+    centred = np.unique(F - (F @ space.weights)[:, None] + 0.0, axis=0)
+    assert centred.shape[0] == F.shape[0] - merged
+    want = np.empty((reps, 2))
+    for r in range(reps):
+        draw = draw_bundle(space, n, 1, seed, replica=r)
+        counts = distinct_weights([draw.base], space.m)
+        signed = distinct_weights([draw.base], space.m, draw.signs)
+        want[r] = [np.max(np.abs(centred @ counts)),
+                   np.max(np.abs(centred @ signed))]
+    want /= np.sqrt(n)
+    got = experiments._run_blocks(
+        (family, space, n, 1, ("J", "randomized-J"), seed), reps, 1)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_randomized_j_is_defined_at_k1_only():
+    draw = draw_bundle(uniform_space(3), 10, 2, seed=1)
+    with pytest.raises(ValueError, match="randomized-J"):
+        statistic_weights("randomized-J", draw)
 
 
 def test_symmetrization_rejects_k2():

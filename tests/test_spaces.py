@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from empint.spaces import (ProbabilitySpace, draw_sample, finite_space,
-                           point_counts, signed_increment, stream_rng,
-                           uniform_space)
+from empint.spaces import (SAMPLE_CHUNK, ProbabilitySpace, draw_sample,
+                           finite_space, point_counts, signed_increment,
+                           stream_rng, uniform_space)
 
 
 def test_finite_space_normalizes():
@@ -188,12 +190,28 @@ def test_trailing_zero_atom_not_drawn_at_top_of_unit_interval(monkeypatch):
 
 
 def test_uniform_draws_unchanged_by_the_guide_table():
-    for m in (2, 16, 200):
+    # past one chunk, the chunks continue the stream of a single call
+    for m, n in ((2, 10_000), (16, 10_000), (200, 10_000),
+                 (200, 4 * SAMPLE_CHUNK + 1)):
         sp = uniform_space(m)
-        u = stream_rng(3, m).random(10_000)
+        u = stream_rng(3, m).random(n)
         expected = np.minimum(np.searchsorted(sp.cumulative, u, side="right"), m - 1)
-        assert np.array_equal(draw_sample(sp, 10_000, seed=3, stream_id=m),
+        assert np.array_equal(draw_sample(sp, n, seed=3, stream_id=m),
                               expected)
+
+
+def test_draw_sample_peak_memory_stays_near_its_output():
+    sp = finite_space(np.arange(1.0, 201.0))
+    draw_sample(sp, 10, seed=0)  # the space's guide table is built untraced
+    tracemalloc.start()
+    try:
+        sample = draw_sample(sp, 2 ** 20, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.size == 2 ** 20
+    # the 8 MiB int64 output, plus one chunk's temporaries
+    assert peak <= 12 * 2 ** 20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
