@@ -99,6 +99,9 @@ def worker_count(workers: int, reps: int) -> int:
 
 def _run_blocks(args_template, reps: int, workers: int) -> np.ndarray:
     """_sup_block over `reps` replications split into one block per worker."""
+    family, _, _, k = args_template[:4]
+    if family.k != k:
+        raise InvalidArgument("family", f"member arity {family.k} does not match k={k}")
     if not 1 <= reps <= TABLE_LIMIT:
         raise InvalidArgument("reps", "must be in 1..2^27")
     blocks = np.array_split(np.arange(reps), worker_count(workers, reps))
@@ -116,8 +119,6 @@ def mc_sup_tail(family: FunctionFamily, space: ProbabilitySpace, n: int, k: int,
                 workers: int = 1) -> dict:
     """Empirical exceedance curve of the family supremum of |statistic|, or
     of the statistic itself for the one-sided "increment"."""
-    if family.k != k:
-        raise ValueError("family arity does not match k")
     maxima = _run_blocks((family, space, n, k, (statistic_kind,), seed), reps,
                          workers)
     return tail_curve(maxima[:, 0], x_grid)
@@ -137,8 +138,6 @@ def symmetrization_experiment(family: FunctionFamily, space: ProbabilitySpace,
     the record of both sides with their intervals, and the plain tail at x
     that lhs is read from.
     """
-    if family.k != 1:
-        raise InvalidArgument("family", "symmetrization needs a k=1 family")
     if not x >= 0:
         raise InvalidArgument("x", "must be >= 0")
     both = _run_blocks((family, space, n, 1, ("J", "randomized-J"), seed),

@@ -92,8 +92,6 @@ def draw_bundle(space: ProbabilitySpace, n: int, k: int, seed: int,
     blocks."""
     if k < 1 or 2 * k + 2 > STREAMS_PER_DRAW:
         raise ValueError("k out of supported range")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return SampleDraw(space, n, k, seed, replica)
 
 
@@ -260,6 +258,8 @@ def _expansion_pairs(space: ProbabilitySpace, n: int, k: int, count: int,
     """Expansion rows and J of `count` random (kernel, sample) pairs."""
     if n < k:
         raise DegenerateSample("n", "must be >= k")
+    if space.m ** k > TABLE_LIMIT:
+        raise InvalidArgument("k", f"{space.m}^{k} kernel cells exceed 2^27 entries")
     rows, targets = zip(*(_expansion_rows(tables, counts, n, space) for tables, counts
                           in _expansion_chunks(space, n, k, count, seed, first)))
     return np.concatenate(rows), np.concatenate(targets)
@@ -285,17 +285,17 @@ def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
 
 
 def validate_expansion(coefficients, space: ProbabilitySpace, n: int,
-                       pairs: int, seed: int) -> float:
+                       holdout_pairs: int, seed: int) -> float:
     """max |J - sum_r c_r X_r| over fresh random (kernel, sample) pairs of
     order k = len(coefficients) - 1, from streams the fit never opens,
     relative to max |J|: the sup-norm twin of the fit's residual, to which a
     pair with J = 0 adds only its roundoff."""
     if len(coefficients) < 2:
         raise InvalidArgument("coefficients", "must hold C(n,k,r) for r = 0..k, k >= 1")
-    if not 1 <= pairs <= TABLE_LIMIT:
-        raise InvalidArgument("pairs", "must be in 1..2^27")
-    rows, direct = _expansion_pairs(space, n, len(coefficients) - 1, pairs, seed,
-                                    HOLDOUT_STREAMS)
+    if not 1 <= holdout_pairs <= TABLE_LIMIT:
+        raise InvalidArgument("holdout_pairs", "must be in 1..2^27")
+    rows, direct = _expansion_pairs(space, n, len(coefficients) - 1, holdout_pairs,
+                                    seed, HOLDOUT_STREAMS)
     via = rows @ np.asarray(coefficients, dtype=float)
     return float(np.max(np.abs(direct - via)) / max(np.max(np.abs(direct)), 1e-300))
 

@@ -150,7 +150,8 @@ def test_04_expansion_identity_holdout():
     for n, k in ((5, 2), (6, 2), (6, 3), (6, 4)):
         coeffs = derive_expansion_coefficients(n, k, sp, trials=30,
                                                seed=400 + 10 * n + k)
-        worst = validate_expansion(coeffs["coefficients"], sp, n, pairs=20, seed=401)
+        worst = validate_expansion(coeffs["coefficients"], sp, n, holdout_pairs=20,
+                                   seed=401)
         if worst >= 1e-8:
             ok = False
     _verdict(4, "expansion-identity", ok, t0, 30.0)

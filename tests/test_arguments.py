@@ -24,7 +24,7 @@ REFUSALS = {
     "distinct_weights-n": ("n", lambda: distinct_weights([np.zeros(1, int)] * 2, 4)),
     "expansion-n": ("n", lambda: derive_expansion_coefficients(2, 3, SP, 20, 0)),
     "expansion-trials": ("trials", lambda: derive_expansion_coefficients(5, 2, SP, 8, 0)),
-    "holdout-pairs": ("pairs", lambda: validate_expansion(
+    "holdout-pairs": ("holdout_pairs", lambda: validate_expansion(
         derive_expansion_coefficients(5, 1, SP, 6, 0)["coefficients"], SP, 5, 0, 0)),
     "holdout-coefficients": ("coefficients", lambda: validate_expansion(
         [1.0], SP, 5, 10, 0)),
@@ -33,6 +33,9 @@ REFUSALS = {
     "symmetrization-x": ("x", lambda: symmetrization_experiment(
         K1, SP, 16, -0.3, 10, 0)),
     "decoupling-k": ("k", lambda: decoupling_experiment(K1, SP, 16, 1, [0.5], 10, 0)),
+    "decoupling-family": ("family", lambda: decoupling_experiment(
+        K1, SP, 16, 2, [0.5], 10, 0)),
+    "mc_sup_tail-family": ("family", lambda: mc_sup_tail(K1, SP, 16, 2, "J", [0.5], 10, 0)),
     "counterexample-epsilon": ("epsilon", lambda: counterexample_experiment(
         0.3, 500, 1.0, 10, 0)),
     "counterexample-sigma": ("sigma", lambda: counterexample_experiment(
@@ -65,8 +68,11 @@ REFUSALS = {
         K1, SP, 16, 1, "J", [0.5], 10 ** 30, 0)),
     "expansion-trials-huge": ("trials", lambda: derive_expansion_coefficients(
         5, 2, SP, 10 ** 30, 0)),
-    "holdout-pairs-huge": ("pairs", lambda: validate_expansion(
+    "holdout-pairs-huge": ("holdout_pairs", lambda: validate_expansion(
         [0.0, 1.0], SP, 5, 10 ** 30, 0)),
+    # 1000^4 kernel cells, 7.3 TiB of float64 per table
+    "expansion-k-huge": ("k", lambda: derive_expansion_coefficients(
+        10, 4, uniform_space(1000), 15, 0)),
 }
 
 

@@ -614,6 +614,19 @@ def test_members_above_sup_norm_one_are_never_applicable(tmp_path):
     assert failed == {"sup_norm": pytest.approx(1.8011727787644, rel=1e-12)}
 
 
+def test_box_family_above_sup_norm_one_is_never_applicable(tmp_path):
+    # the box family runs on any finite base kernel, and the overlay reports
+    # |f| = 1.5; scaled to |f| = 1, every row is applicable
+    cfg = dict(_HYPOTHESIS_RUN, seed=3, statistic="J", constants={"M": 0.01},
+               space={"points": 3, "weights": "uniform"},
+               family={"kind": "box", "table": [[1.5, 0, 0.5], [0, -1, 0],
+                                                [0.25, 0, 1]]},
+               x_grid=[0.1, 0.2, 0.4, 0.8, 1.6])
+    flags, failed = _applicable_flags(tmp_path, cfg)
+    assert flags == ["0"] * 5
+    assert failed == {"sup_norm": 1.5}
+
+
 @pytest.mark.parametrize("space, family, l2", [
     # ||f||_2 = 0.707 under uniform mu, against sigma = 0.1: unflagged, the
     # row at x = 0.5 printed p = 0.475 beside a theorem bound of 0.273

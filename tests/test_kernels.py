@@ -13,6 +13,7 @@ from empint.kernels import (BoxRestrictionFamily, BudgetExceeded,
                             product_weights, singleton_family, sup_norm)
 from empint.spaces import (InvalidArgument, finite_space, stream_rng,
                            uniform_space)
+from empint.statistics import derive_expansion_coefficients
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -312,11 +313,6 @@ def test_fresh_family_pickles_without_its_tables():
     assert np.array_equal(copy_group, group)
 
 
-def test_box_family_rejects_unbounded_kernel():
-    with pytest.raises(ValueError):
-        BoxRestrictionFamily(KernelFunction(np.full((4, 4), 1.5)), 4)
-
-
 def test_box_family_documented_budget():
     fam = BoxRestrictionFamily(_base_kernel(), 8)
     assert fam.L == 2 * 2
@@ -423,6 +419,18 @@ def test_offdiag_mask_is_pairwise_distinct(m, k):
         assert mask[tup] == (len(set(tup)) == k)
 
 
+def test_offdiag_mask_peaks_near_one_byte_per_entry():
+    # 2.56 M entries; a temporary per entry (np.indices) would break the bound
+    offdiag_mask.cache_clear()
+    tracemalloc.start()
+    try:
+        mask = offdiag_mask(40, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * mask.size
+
+
 def test_offdiag_mask_is_cached_and_read_only():
     mask = offdiag_mask(4, 3)
     assert offdiag_mask(4, 3) is mask
@@ -467,8 +475,11 @@ def test_product_weights_reads_every_input_alike():
     # boxes of at most 3 x 3 cells on 400^2 cells: 1,197^2 nonempty tables
     # of 160,000 entries
     (lambda: BoxRestrictionFamily(KernelFunction(np.full((400, 400), 0.5)), 400,
-                                  max_cells=3), ValueError)],
-    ids=["interval", "box-tables", "box-members", "box-capped"])
+                                  max_cells=3), ValueError),
+    # expansion kernels of 1000^4 cells: 7.3 TiB of float64 per table
+    (lambda: derive_expansion_coefficients(10, 4, uniform_space(1000), 15, 0),
+     InvalidArgument)],
+    ids=["interval", "box-tables", "box-members", "box-capped", "expansion"])
 def test_family_too_big_to_tabulate_is_refused_before_allocating(build, error):
     tracemalloc.start()
     try:

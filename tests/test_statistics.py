@@ -9,8 +9,8 @@ import pytest
 from empint import spaces, statistics
 from empint.decomposition import canonicalize, hoeffding_decompose
 from empint.kernels import KernelFunction, offdiag_mask
-from empint.spaces import (draw_sample, finite_space, point_counts,
-                           stream_rng, uniform_space)
+from empint.spaces import (InvalidArgument, draw_sample, finite_space,
+                           point_counts, stream_rng, uniform_space)
 from empint.statistics import (HOLDOUT_STREAMS, STREAMS_PER_DRAW,
                                DegenerateSample, ResidualTooLarge,
                                _expansion_chunks, _expansion_pairs,
@@ -279,8 +279,10 @@ def test_draw_bundle_fields_are_kept_and_read_only():
 
 
 def test_draw_bundle_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
-        draw_bundle(uniform_space(3), 0, 1, seed=1)
+    # draws are lazy: draw_sample refuses n on the first read
+    with pytest.raises(InvalidArgument) as e:
+        draw_bundle(uniform_space(3), 0, 1, seed=1).base
+    assert e.value.name == "n"
 
 
 # --- exact variance identities --------------------------------------------
@@ -386,16 +388,16 @@ def test_expansion_heldout_validation():
     # above the 1e-8 the exact expansion stays under
     sp = uniform_space(16)
     c = derive_expansion_coefficients(6, 2, sp, trials=30, seed=9)
-    assert validate_expansion(c["coefficients"], sp, 6, pairs=20, seed=9) < 1e-8
-    assert validate_expansion(_scaled_top(c), sp, 6, pairs=20, seed=9) > 1e-8
+    assert validate_expansion(c["coefficients"], sp, 6, holdout_pairs=20, seed=9) < 1e-8
+    assert validate_expansion(_scaled_top(c), sp, 6, holdout_pairs=20, seed=9) > 1e-8
     # exact also with an atom of zero weight, as the expansion is built from
     # the diagonal-free kernel, and on the uniform space, where some holdout
     # samples have counts exactly n mu and so J = 0
     for sp in EXPANSION_SPACES.values():
         for k in (1, 2, 3):
             c = derive_expansion_coefficients(5, k, sp, trials=30, seed=3)
-            assert validate_expansion(c["coefficients"], sp, 5, pairs=20, seed=3) < 1e-8
-            assert validate_expansion(_scaled_top(c), sp, 5, pairs=20, seed=3) > 1e-8
+            assert validate_expansion(c["coefficients"], sp, 5, holdout_pairs=20, seed=3) < 1e-8
+            assert validate_expansion(_scaled_top(c), sp, 5, holdout_pairs=20, seed=3) > 1e-8
 
 
 def test_expansion_rejects_too_few_trials():
@@ -437,7 +439,7 @@ def test_expansion_holdout_streams_are_disjoint_from_the_fit(monkeypatch):
     opened.append(set())
     c = derive_expansion_coefficients(3, 2, sp, trials=1002, seed=2)
     opened.append(set())
-    validate_expansion(c["coefficients"], sp, 3, pairs=3, seed=2)
+    validate_expansion(c["coefficients"], sp, 3, holdout_pairs=3, seed=2)
     fit, holdout = opened
     assert len(fit) == 1003 and len(holdout) == 4
     assert fit.isdisjoint(holdout)
@@ -518,7 +520,7 @@ def test_expansion_payload_does_not_depend_on_the_stack_size(monkeypatch):
     def payload():
         c = derive_expansion_coefficients(n, k, sp, trials=40, seed=7)
         return (c["coefficients"], c["residual"],
-                validate_expansion(c["coefficients"], sp, n, pairs=10, seed=7))
+                validate_expansion(c["coefficients"], sp, n, holdout_pairs=10, seed=7))
 
     default = payload()
     for pairs in (1, 3):
