@@ -5,7 +5,7 @@ enumeration over all sign vectors.
 Enumeration is done with a fast Walsh-Hadamard transform: Z as a function
 of the sign vector is a multilinear polynomial whose Fourier coefficients
 are the symmetrized chaos coefficients, so all 2^n values come out of one
-O(n 2^n) pass.
+O(n 2^n) transform, run one cache-sized block at a time.
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from .bounds import saturating_pow
 from .kernels import offdiag_mask
 
 ENUMERATION_LIMIT = 24
+FWHT_BLOCK = 1 << 16  # entries the transform keeps in cache at once: 512 KiB
+FWHT_LOW = 16  # levels h below this run on a block's (low, block/low) transpose
 
 
 class EnumerationRefused(Exception):
@@ -138,17 +140,53 @@ def optimal_q_tail(x: float, S: float, k: int):
 # ---------------------------------------------------------------------------
 # exact enumeration via the fast Walsh-Hadamard transform
 
+def _butterfly(left: np.ndarray, right: np.ndarray, scratch: np.ndarray) -> None:
+    """One level's butterflies on two equal-shape views: left becomes
+    left + right and right becomes left - right; scratch holds the differences."""
+    diff = scratch[:left.size].reshape(left.shape)
+    np.subtract(left, right, out=diff)
+    left += right
+    right[...] = diff
+
+
 def _fwht(v: np.ndarray) -> np.ndarray:
     """In-order Walsh-Hadamard transform, in place: v[b] becomes
     sum_s v[s] * (-1)^{popcount(b & s)}.  v must be a contiguous float array
-    whose length is a power of two; it is returned."""
-    h = 1
+    whose length is a power of two; it is returned.
+
+    A level-h butterfly pairs entries h apart, so the levels below
+    FWHT_BLOCK pair entries inside one block: each block runs all of them
+    while it is in cache, the levels below FWHT_LOW on the block's
+    (low, block/low) transpose, where level-h pairs are the long rows i and
+    i + h.  The levels above the block run in chunks of pairs, so one block
+    of scratch serves every n.  A level's pairs are disjoint, so every entry
+    gets the additions and subtractions of the level-by-level transform in
+    the same order and the bits do not depend on the block size.
+    """
+    block = min(FWHT_BLOCK, v.size)
+    low = min(FWHT_LOW, block)
+    scratch = np.empty(max(block // 2, 1))
+    rows = np.empty((low, block // low))
+    for start in range(0, v.size, block):
+        b = v[start:start + block]
+        cols = b.reshape(-1, low).T
+        rows[...] = cols
+        h = 1
+        while h < low:
+            pairs = rows.reshape(-1, 2, h * rows.shape[1])
+            _butterfly(pairs[:, 0], pairs[:, 1], scratch)
+            h *= 2
+        cols[...] = rows
+        while h < block:
+            pairs = b.reshape(-1, 2, h)
+            _butterfly(pairs[:, 0], pairs[:, 1], scratch)
+            h *= 2
+    h = block
     while h < v.size:
-        pairs = v.reshape(-1, 2, h)  # a view: [:, 0] are the left halves
-        left, right = pairs[:, 0], pairs[:, 1]
-        diff = left - right
-        left += right
-        right[...] = diff
+        for start in range(0, v.size, 2 * h):
+            for lo in range(start, start + h, scratch.size):
+                hi = lo + scratch.size
+                _butterfly(v[lo:hi], v[lo + h:hi + h], scratch)
         h *= 2
     return v
 

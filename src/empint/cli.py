@@ -27,8 +27,8 @@ from .kernels import (BoxRestrictionFamily, ExplicitFamily, KernelFunction,
                       product_weights, singleton_family)
 from .spaces import (TABLE_LIMIT, InvalidArgument, ProbabilitySpace,
                      finite_space, stream_rng, uniform_space)
-from .statistics import ResidualTooLarge, derive_expansion_coefficients, \
-    validate_expansion
+from .statistics import (ResidualTooLarge, check_holdout_pairs,
+                         derive_expansion_coefficients, validate_expansion)
 from .experiments import (counterexample_experiment, decoupling_experiment,
                           exponent_fit, mc_sup_tail, symmetrization_experiment,
                           TooFewQualifyingPoints, worker_count)
@@ -225,6 +225,7 @@ def execute(cfg: dict, workers: int = 1):
         space = _build_space(_require(cfg, "space", dict), "space")
         trials = _require(cfg, "trials", int)
         pairs = _require(cfg, "holdout_pairs", int)
+        check_holdout_pairs(pairs)
         payload = derive_expansion_coefficients(n, k, space, trials, seed)
         payload["holdout_max_relative_error"] = validate_expansion(
             payload["coefficients"], space, n, pairs, seed)

@@ -284,6 +284,12 @@ def derive_expansion_coefficients(n: int, k: int, space: ProbabilitySpace,
     return {"coefficients": coeffs.tolist(), "residual": residual}
 
 
+def check_holdout_pairs(holdout_pairs: int) -> None:
+    """The holdout's range rule; an audit checks it before the fit draws."""
+    if not 1 <= holdout_pairs <= TABLE_LIMIT:
+        raise InvalidArgument("holdout_pairs", "must be in 1..2^27")
+
+
 def validate_expansion(coefficients, space: ProbabilitySpace, n: int,
                        holdout_pairs: int, seed: int) -> float:
     """max |J - sum_r c_r X_r| over fresh random (kernel, sample) pairs of
@@ -292,8 +298,7 @@ def validate_expansion(coefficients, space: ProbabilitySpace, n: int,
     pair with J = 0 adds only its roundoff."""
     if len(coefficients) < 2:
         raise InvalidArgument("coefficients", "must hold C(n,k,r) for r = 0..k, k >= 1")
-    if not 1 <= holdout_pairs <= TABLE_LIMIT:
-        raise InvalidArgument("holdout_pairs", "must be in 1..2^27")
+    check_holdout_pairs(holdout_pairs)
     rows, direct = _expansion_pairs(space, n, len(coefficients) - 1, holdout_pairs,
                                     seed, HOLDOUT_STREAMS)
     via = rows @ np.asarray(coefficients, dtype=float)

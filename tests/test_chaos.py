@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from math import exp, factorial, sqrt
 
 import numpy as np
@@ -240,14 +241,32 @@ def _fwht_concatenate(v):
     return v.ravel()
 
 
-def test_in_place_fwht_is_bit_identical_to_concatenate_transform():
+def test_in_place_fwht_is_bit_identical_to_concatenate_transform(monkeypatch):
+    # the shipped block up to n = 20 (below, at and above one block), then
+    # small blocks and transposes: several blocks and chunked top levels
     rng = stream_rng(60, 0)
-    for n in range(13):
-        v = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-8, 9, 1 << n)
-        buf = v.copy()
-        out = _fwht(buf)
-        assert np.shares_memory(out, buf)
-        assert np.array_equal(out, _fwht_concatenate(v))
+    paths = [(chaos.FWHT_BLOCK, chaos.FWHT_LOW, range(21))]
+    paths += [(block, low, range(13)) for block in (1, 2, 4, 16) for low in (2, 8)]
+    for block, low, sizes in paths:
+        monkeypatch.setattr(chaos, "FWHT_BLOCK", block)
+        monkeypatch.setattr(chaos, "FWHT_LOW", low)
+        for n in sizes:
+            v = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-8, 9, 1 << n)
+            buf = v.copy()
+            out = _fwht(buf)
+            assert np.shares_memory(out, buf)
+            assert np.array_equal(out, _fwht_concatenate(v))
+
+
+def test_enumeration_holds_one_output_and_one_block():
+    c = _random_coeffs(20, 2, seed=61, max_terms=200)
+    tracemalloc.start()
+    try:
+        z = chaos_values_all_signs(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= z.nbytes + (2 << 20)
 
 
 def test_fwht_matches_direct_evaluation():

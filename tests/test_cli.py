@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from empint import chaos, cli
+from empint import chaos, cli, spaces, statistics
 from empint.bounds import BoundConstants, chaining_schedule
 from empint.cli import (CURVE_HEADER, ConfigError, _build_family,
                         load_config, main, overlay_bounds, run)
@@ -206,6 +206,26 @@ def test_expansion_audit_too_few_trials_exits_2(tmp_path, capsys):
            "trials": 5, "holdout_pairs": 10}
     assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.startswith("config error: trials: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_expansion_audit_refuses_holdout_pairs_before_any_draw(tmp_path, capsys,
+                                                             monkeypatch):
+    opened = []
+    real = statistics.stream_rng
+
+    def counting(seed, stream_id):
+        opened.append(stream_id)
+        return real(seed, stream_id)
+    monkeypatch.setattr(statistics, "stream_rng", counting)
+    monkeypatch.setattr(spaces, "stream_rng", counting)
+    cfg = {"experiment": "expansion_audit", "seed": 0, "n": 6, "k": 3,
+           "space": {"points": 16, "weights": "uniform"},
+           "trials": 4000, "holdout_pairs": 0}
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: holdout_pairs: must be in 1..2^27")
+    assert opened == []
     assert not (tmp_path / "out").exists()
 
 
