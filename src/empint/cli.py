@@ -3,7 +3,7 @@
 A run reads one JSON config, builds the space and family it names, executes
 one experiment or calculator, and writes a structured report plus a flat
 comma-separated curve table.  Exit codes: 0 success, 2 config validation
-error, 3 numerical-check failure.
+error or an unusable output directory, 3 numerical-check failure.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
                     chaos_tail_bound, exact_chaos_tail, EnumerationRefused,
                     optimal_q_tail)
 from .decomposition import canonicalize
-from .kernels import (BoxRestrictionFamily, ExplicitFamily, KernelFunction,
-                      _check_shape, box_budget, interval_family, l2_norm,
+from .kernels import (BoxRestrictionFamily, ExplicitFamily, FunctionFamily,
+                      KernelFunction, _check_shape, interval_family, l2_norm,
                       product_weights, singleton_family)
 from .spaces import (TABLE_LIMIT, InvalidArgument, ProbabilitySpace,
                      finite_space, stream_rng, uniform_space)
@@ -179,20 +179,37 @@ def _fmt(v) -> str:
     return str(int(v)) if isinstance(v, bool) else format(float(v), ".12g")
 
 
-def overlay_bounds(curve: dict, k: int, sigma: float, D: float, L: float,
-                   n: int, consts: BoundConstants, hypotheses_hold: bool = True):
-    """Per-x rows: empirical p with interval, theorem and corollary bounds,
-    applicability flag (the region test, where the hypotheses hold).
-    Report-only; the constants are exploratory."""
+def overlay_bounds(curve: dict, statistic: str, family: FunctionFamily,
+                   space: ProbabilitySpace, n: int, consts: BoundConstants):
+    """Per-x rows of a Monte Carlo curve of `statistic` over the `family`
+    that ran on `space`: empirical p with interval, theorem and corollary
+    bounds from the family's k, sigma, D and L, and the applicability flag;
+    with the Theorem's hypotheses that fail, by name and measured value.
+
+    The Theorem bounds the tail of sup |J| over members with |f| <= 1 and
+    ||f||_2 <= sigma; the one-sided "increment" counts as J, since
+    P(sup J >= x) <= P(sup |J| >= x), and the sigma slack covers
+    interval_family's floor.  A row is applicable where no hypothesis fails
+    and x lies in the region.  Report-only; the constants are exploratory."""
+    k, tables = family.k, family.unique_tables()[0]
+    failed = {} if statistic in ("J", "increment") else {"statistic": statistic}
+    sup = float(max(tables.max(), -tables.min()))  # no |tables| temporary
+    if sup > 1 + 1e-12:
+        failed["sup_norm"] = sup
+    sq = np.einsum("ij,ij,j->i", tables, tables, product_weights(space, k))
+    l2 = float(np.sqrt(sq.max()))  # no tables ** 2 temporary
+    if l2 > family.sigma * (1 + 1e-9):
+        failed["l2_norm"] = l2
     rows = []
     for x, p, lo, hi in zip(curve["x_grid"], curve["probs"], curve["ci_lo"],
                             curve["ci_hi"]):
-        tb, applicable = theorem_bound(x, n, k, sigma, D, L, consts)
+        tb, applicable = theorem_bound(x, n, k, family.sigma, family.D,
+                                       family.L, consts)
         rows.append({"x": x, "p": p, "ci_lo": lo, "ci_hi": hi,
                      "theorem_bound": tb,
                      "corollary_bound": corollary2_bound(x, k, consts),
-                     "applicable": applicable and hypotheses_hold})
-    return rows
+                     "applicable": applicable and not failed})
+    return rows, failed
 
 
 def _write_curve(path, rows):
@@ -254,7 +271,7 @@ def execute(cfg: dict, workers: int = 1):
         return payload, rows, {}
 
     # Monte Carlo experiments: each returns its record and the one tail that
-    # overlays the bounds
+    # overlays the bounds of the family and space it ran
     reps = _require(cfg, "reps", int)
     k = 1 if exp == "counterexample" else _require(
         cfg, "k", int, lambda v: 1 <= v <= 4, "must be in 1..4")
@@ -266,55 +283,45 @@ def execute(cfg: dict, workers: int = 1):
         grid = _require(cfg, "grid", int, default=None)
         payload, curve = counterexample_experiment(sigma, n, float(eps), reps,
                                                    seed, grid=grid, workers=workers)
-        # J(1_I) over windows, whose |f| <= 1: the hypotheses hold
-        return payload, overlay_bounds(curve, k, sigma, *box_budget(1), n,
-                                       consts), {}
-
-    space = _build_space(_require(cfg, "space", dict), "space")
-    family = _build_family(_require(cfg, "family", dict), "family", space, k)
-    if family.k != k:
-        raise ConfigError("family", f"member arity {family.k} does not match k={k}")
-
-    if exp == "symmetrization":
-        x = _require(cfg, "x", (int, float))
-        payload, curve = symmetrization_experiment(family, space, n, float(x),
-                                                   reps, seed, workers=workers)
-        kind = "J"
-    elif exp == "sup_tail":
-        grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
-        kind = _require(cfg, "statistic", str, lambda v: v in ("J", "I", "decoupled-I"),
-                        "must be J, I or decoupled-I", default="J")
-        curve = mc_sup_tail(family, space, n, k, kind, grid, reps, seed,
-                            workers=workers)
-        payload = {"curve": curve, "statistic": kind}
-    elif exp == "decoupling":
-        grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
-        payload, curve = decoupling_experiment(family, space, n, k, grid, reps,
-                                               seed, workers=workers)
-        kind = "I"  # the coupled curve
+        # J(1_I) one-sided over the windows of the grid it ran
+        family = interval_family(sigma, payload["grid"])
+        space, kind = uniform_space(payload["grid"]), "increment"
     else:
-        raise ConfigError("experiment", f"unknown experiment {exp!r}")
-    # read after the run, so the family's table cache is never shipped to workers
-    tables = family.unique_tables()[0]
-    payload["family"] = {"members": len(family), "unique_tables": tables.shape[0]}
-    if exp == "sup_tail":  # fitted after the table build, which peaks lower in RSS
-        try:
-            slope, stderr = exponent_fit(curve)
-            payload["exponent_fit"] = {"slope": slope, "stderr": stderr}
-        except TooFewQualifyingPoints:
-            payload["exponent_fit"] = None
-    # the Theorem bounds the tail of sup |J| over members with |f| <= 1 and
-    # ||f||_2 <= sigma; the sigma slack covers interval_family's floor
-    failed = {} if kind == "J" else {"statistic": kind}
-    sup = float(max(tables.max(), -tables.min()))  # no |tables| temporary
-    if sup > 1 + 1e-12:
-        failed["sup_norm"] = sup
-    sq = np.einsum("ij,ij,j->i", tables, tables, product_weights(space, k, space.m))
-    l2 = float(np.sqrt(sq.max()))  # no tables ** 2 temporary
-    if l2 > family.sigma * (1 + 1e-9):
-        failed["l2_norm"] = l2
-    return payload, overlay_bounds(curve, k, family.sigma, family.D, family.L,
-                                   n, consts, not failed), failed
+        space = _build_space(_require(cfg, "space", dict), "space")
+        family = _build_family(_require(cfg, "family", dict), "family", space, k)
+        if family.k != k:
+            raise ConfigError("family", f"member arity {family.k} does not match k={k}")
+        if exp == "symmetrization":
+            x = _require(cfg, "x", (int, float))
+            payload, curve = symmetrization_experiment(family, space, n, float(x),
+                                                       reps, seed, workers=workers)
+            kind = "J"
+        elif exp == "sup_tail":
+            grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
+            kind = _require(cfg, "statistic", str,
+                            lambda v: v in ("J", "I", "decoupled-I"),
+                            "must be J, I or decoupled-I", default="J")
+            curve = mc_sup_tail(family, space, n, k, kind, grid, reps, seed,
+                                workers=workers)
+            payload = {"curve": curve, "statistic": kind}
+        elif exp == "decoupling":
+            grid = _build_x_grid(_require(cfg, "x_grid", (list, dict)), "x_grid")
+            payload, curve = decoupling_experiment(family, space, n, k, grid, reps,
+                                                   seed, workers=workers)
+            kind = "I"  # the coupled curve
+        else:
+            raise ConfigError("experiment", f"unknown experiment {exp!r}")
+        # read after the run, so the family's table cache is never shipped to
+        # workers; fitted after the table build, which peaks lower in RSS
+        tables = family.unique_tables()[0]
+        payload["family"] = {"members": len(family), "unique_tables": tables.shape[0]}
+        if exp == "sup_tail":
+            try:
+                payload["exponent_fit"] = {"slope": exponent_fit(curve)}
+            except TooFewQualifyingPoints:
+                payload["exponent_fit"] = None
+    rows, failed = overlay_bounds(curve, kind, family, space, n, consts)
+    return payload, rows, failed
 
 
 def run(config_path: str, out_dir: str, workers: int = 1,
@@ -323,6 +330,8 @@ def run(config_path: str, out_dir: str, workers: int = 1,
     the exit code."""
     import os
     try:
+        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise ConfigError("out", f"{out_dir} exists and is not a directory")
         cfg = load_config(config_path)
         if seed_override is not None:
             cfg["seed"] = seed_override
@@ -335,8 +344,6 @@ def run(config_path: str, out_dir: str, workers: int = 1,
     except (ResidualTooLarge, NotApplicable, EnumerationRefused) as e:
         print(f"numerical check failed: {e}", file=sys.stderr)
         return 3
-    os.makedirs(out_dir, exist_ok=True)
-    _write_curve(os.path.join(out_dir, "curve.csv"), rows)
     # the processes that ran, not the ones allowed
     ran = 1 if cfg["experiment"] in AUDITS else worker_count(workers, cfg["reps"])
     report = {"config": cfg, "payload": payload,
@@ -344,9 +351,15 @@ def run(config_path: str, out_dir: str, workers: int = 1,
               "version": __version__, "seed": cfg["seed"]}
     if failed:
         report["failed_hypotheses"] = failed
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_curve(os.path.join(out_dir, "curve.csv"), rows)
+        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        print(f"config error: out: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

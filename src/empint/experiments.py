@@ -213,10 +213,11 @@ class TooFewQualifyingPoints(Exception):
     pass
 
 
-def exponent_fit(curve: dict):
+def exponent_fit(curve: dict) -> float:
     """Least-squares slope of log(-log p) against log x over grid points
     with p in (0.001, 0.5); the testable shadow of the exp(-alpha x^{2/k})
-    tail shape.  Returns (slope, stderr)."""
+    tail shape.  Returns the slope alone: the residual is the points' misfit
+    to a line, not a sampling error, so it gives no standard error."""
     x, p = np.asarray(curve["x_grid"]), np.asarray(curve["probs"])
     keep = (p > 0.001) & (p < 0.5) & (x > 0)
     if np.count_nonzero(keep) < 4:
@@ -225,15 +226,7 @@ def exponent_fit(curve: dict):
     lx = np.log(x[keep])
     ly = np.log(-np.log(p[keep]))
     A = np.stack([lx, np.ones_like(lx)], axis=1)
-    coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
-    slope = coef[0]
-    dof = lx.size - 2
-    if dof > 0 and res.size:
-        s2 = res[0] / dof
-        stderr = sqrt(s2 / np.sum((lx - lx.mean()) ** 2))
-    else:
-        stderr = 0.0
-    return float(slope), float(stderr)
+    return float(np.linalg.lstsq(A, ly, rcond=None)[0][0])
 
 
 # ---------------------------------------------------------------------------

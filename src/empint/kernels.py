@@ -81,18 +81,10 @@ def l2_norm(f: KernelFunction, space: ProbabilitySpace) -> float:
     return float(np.sqrt(max(g, 0.0)))
 
 
-def product_weights(nu, k: int, m: int) -> np.ndarray:
-    """Flattened k-fold product of a base-space probability vector.
-
-    nu is a ProbabilitySpace or an array of m weights;
-    each must be finite, >= -1e-15 and sum to 1 within 1e-9.
-    """
-    w = np.asarray(getattr(nu, "weights", nu), dtype=float)
-    if w.size != m:
-        raise ValueError("nu size does not match the family's space")
-    if not np.all(np.isfinite(w)) or np.any(w < -1e-15) or abs(w.sum() - 1) > 1e-9:
-        raise ValueError("nu must be a probability measure")
-    out = w = np.clip(w, 0.0, None)
+def product_weights(space: ProbabilitySpace, k: int) -> np.ndarray:
+    """Flattened k-fold product of the space's weights; the space has
+    already been checked as a probability measure."""
+    out = w = space.weights
     for _ in range(k - 1):
         out = np.multiply.outer(out, w)
     return out.ravel()
@@ -290,7 +282,8 @@ class BoxRestrictionFamily(FunctionFamily):
         return np.where(mask, self.f.table, 0.0).reshape(reps.size, -1), group
 
 
-def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> list:
+def epsilon_net(family: FunctionFamily, nu: ProbabilitySpace,
+                epsilon: float) -> list:
     """Greedy L2(nu) epsilon-packing of the family, verified as a cover;
     returns the index of each net element's first member.
 
@@ -299,12 +292,15 @@ def epsilon_net(family: FunctionFamily, nu, epsilon: float) -> list:
     automatically an epsilon-cover, which is asserted over every member.
     Raises BudgetExceeded if the net is larger than D * eps**-L.
 
-    nu is a probability measure on the base space, extended to the k-fold
-    product as a product measure (matching how family L2 norms are defined).
+    nu is a probability space on the family's m points, extended to the
+    k-fold product as a product measure (matching how family L2 norms are
+    defined).
     """
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
-    w = product_weights(nu, family.k, family.m)
+    if nu.m != family.m:
+        raise ValueError(f"nu has {nu.m} points, the family's space {family.m}")
+    w = product_weights(nu, family.k)
     tables, group = family.unique_tables()
     nuniq = tables.shape[0]
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from empint import chaos, cli, spaces, statistics
-from empint.bounds import BoundConstants, chaining_schedule
+from empint import chaos, cli, kernels, spaces, statistics
+from empint.bounds import BoundConstants, chaining_schedule, theorem_bound
 from empint.cli import (CURVE_HEADER, ConfigError, _build_family,
                         load_config, main, overlay_bounds, run)
 from empint.experiments import (counterexample_experiment,
@@ -53,6 +53,29 @@ def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(ConfigError) as e:
         load_config(path)
     assert "experiment" in str(e.value)
+
+
+def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr(cli, "execute", no_run)
+    out = tmp_path / "out"
+    out.write_bytes(b"kept\n")
+    assert main(["run", _write(tmp_path, _base_cfg()), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: out: {out} exists and is not a directory\n"
+    assert out.read_bytes() == b"kept\n"
+
+
+def test_out_below_a_file_exits_2_without_a_traceback(tmp_path, capsys):
+    # the path does not exist, so the run goes ahead and makedirs refuses it
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"")
+    assert run(_write(tmp_path, _base_cfg()), str(blocker / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: out: ")
+    assert blocker.read_bytes() == b""
 
 
 def test_unreadable_config(tmp_path, capsys):
@@ -583,15 +606,17 @@ def test_non_finite_or_negative_x_rejected(tmp_path, capsys, experiment, x_grid)
 def test_overlay_empty_grid():
     curve = {"x_grid": [], "probs": [], "ci_lo": [], "ci_hi": [],
              "replications": 1}
-    rows = overlay_bounds(curve, 1, 0.5, 4.0, 2.0, 100, BoundConstants(k=1))
-    assert rows == []
+    rows, failed = overlay_bounds(curve, "J", interval_family(0.5, 8),
+                                  uniform_space(8), 100, BoundConstants(k=1))
+    assert rows == [] and failed == {}
 
 
 def test_overlay_bound_capped_at_one():
     p = [0.9, 0.5]
     curve = {"x_grid": [0.0, 0.1], "probs": p, "ci_lo": p, "ci_hi": p,
              "replications": 100}
-    rows = overlay_bounds(curve, 1, 0.5, 4.0, 2.0, 100, BoundConstants(k=1))
+    rows, _ = overlay_bounds(curve, "J", interval_family(0.5, 8),
+                             uniform_space(8), 100, BoundConstants(k=1))
     for r in rows:
         assert 0 < r["theorem_bound"] <= 1
         assert 0 < r["corollary_bound"] <= 1
@@ -675,6 +700,26 @@ def test_j_on_windows_keeps_its_applicable_rows(tmp_path):
     flags, failed = _applicable_flags(tmp_path, cfg)
     assert flags == ["0", "1", "1", "1", "1"]
     assert failed is None
+
+
+def test_counterexample_keeps_its_applicable_rows(tmp_path):
+    # its windows have |f| <= 1 and ||f||_2 <= sigma, and its one-sided
+    # increment counts as J; both x lie in the region at M = 0.001
+    cfg = dict(_COUNTEREXAMPLE, seed=3, constants={"M": 0.001})
+    flags, failed = _applicable_flags(tmp_path, cfg)
+    assert flags == ["1", "1"]
+    assert failed is None
+
+
+def test_counterexample_overlay_reads_d_from_its_family(monkeypatch):
+    # the interval family declares D = 64 here; C keeps the bound below 1,
+    # where D shows
+    monkeypatch.setattr(kernels, "box_budget", lambda k: (64.0, 2.0))
+    _, rows, _ = cli.execute(dict(_COUNTEREXAMPLE, constants={"C": 1e-3}))
+    consts = BoundConstants(k=1, C=1e-3)
+    want = [theorem_bound(r["x"], 500, 1, 0.3, 64.0, 2.0, consts)[0] for r in rows]
+    assert [r["theorem_bound"] for r in rows] == want
+    assert len(want) == 2 and max(want) < 1
 
 
 # --- invalid constants and singleton sigma exit 2 before any work ----------

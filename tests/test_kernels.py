@@ -346,7 +346,7 @@ def test_net_deduplicates():
 
 def _net_is_sound(fam, nu, eps):
     net = epsilon_net(fam, nu, eps)
-    w = product_weights(nu, fam.k, fam.m)
+    w = product_weights(nu, fam.k)
     reps = [fam.member(i).table.ravel() for i in net]
     for j in range(len(fam)):
         g = fam.member(j).table.ravel()
@@ -445,22 +445,9 @@ def test_box_family_rejects_table_of_wrong_shape():
         BoxRestrictionFamily(KernelFunction(np.full((4, 3), 0.5)), 4)
 
 
-@pytest.mark.parametrize("nu", [
-    [2.0, -1.0, 0.0, 0.0], [0.1] * 4, [np.nan, 0.5, 0.25, 0.25],
-    [np.inf, 0.0, 0.0, 0.0], [0.5, 0.5]],
-    ids=["negative", "mass-0.4", "nan", "inf", "size"])
-def test_product_weights_validates_plain_arrays(nu):
-    with pytest.raises(ValueError):
-        product_weights(np.array(nu), 1, 4)
-    with pytest.raises(ValueError):
-        epsilon_net(interval_family(0.5, 4), np.array(nu), 0.5)
-
-
-def test_product_weights_reads_every_input_alike():
-    sp = finite_space([0.5, 0.25, 0.25, 0.0])
-    want = product_weights(sp, 2, 4)
-    for nu in (sp.weights, list(sp.weights)):
-        np.testing.assert_array_equal(product_weights(nu, 2, 4), want)
+def test_net_refuses_a_space_of_another_size():
+    with pytest.raises(ValueError, match="5 points"):
+        epsilon_net(interval_family(0.5, 4), uniform_space(5), 0.5)
 
 
 @pytest.mark.parametrize("build, error", [

@@ -30,6 +30,12 @@ def test_finite_space_rejects_negative():
         finite_space([0.5, -0.5, 1.0])
 
 
+def test_space_rejects_negative_weight_summing_to_one():
+    # the sum is 1, so only the sign check refuses it
+    with pytest.raises(ValueError, match="negative weight"):
+        ProbabilitySpace([2.0, -1.0, 0.0, 0.0])
+
+
 def test_finite_space_rejects_all_zero():
     with pytest.raises(ValueError):
         finite_space([0.0, 0.0])
