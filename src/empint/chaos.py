@@ -42,8 +42,12 @@ class ChaosCoefficients:
         idx = np.asarray(self.index_tuples)
         if idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise ValueError("index tuples must hold integers")
-        idx = idx.astype(np.int64).reshape(-1, self.k)
-        vals = np.asarray(self.values, dtype=float).ravel()
+        if idx.shape == (0,):  # an empty list holds no tuples
+            idx = idx.reshape(0, self.k)
+        idx, vals = idx.astype(np.int64), np.asarray(self.values, dtype=float)
+        if idx.ndim != 2 or idx.shape[1] != self.k or vals.ndim != 1:
+            raise ValueError(f"index tuples must form a (T, {self.k}) array "
+                             "and values a flat list")
         if idx.shape[0] != vals.size:
             raise ValueError("index/value length mismatch")
         if not np.all(np.isfinite(vals)):

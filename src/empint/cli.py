@@ -24,7 +24,7 @@ from .chaos import (ENUMERATION_LIMIT, ChaosCoefficients, chaos_s,
 from .decomposition import canonicalize
 from .kernels import (BoxRestrictionFamily, ExplicitFamily, FunctionFamily,
                       KernelFunction, _check_shape, interval_family, l2_norm,
-                      product_weights, singleton_family)
+                      l2_norms, singleton_family)
 from .spaces import (TABLE_LIMIT, InvalidArgument, ProbabilitySpace,
                      finite_space, stream_rng, uniform_space)
 from .statistics import (ResidualTooLarge, check_holdout_pairs,
@@ -196,8 +196,7 @@ def overlay_bounds(curve: dict, statistic: str, family: FunctionFamily,
     sup = float(max(tables.max(), -tables.min()))  # no |tables| temporary
     if sup > 1 + 1e-12:
         failed["sup_norm"] = sup
-    sq = np.einsum("ij,ij,j->i", tables, tables, product_weights(space, k))
-    l2 = float(np.sqrt(sq.max()))  # no tables ** 2 temporary
+    l2 = float(l2_norms(tables, space, k).max())
     if l2 > family.sigma * (1 + 1e-9):
         failed["l2_norm"] = l2
     rows = []

@@ -17,43 +17,34 @@ from .spaces import ProbabilitySpace
 CANONICAL_TOL = 1e-10
 
 
-def project_p(f: KernelFunction, coord: int, mu: ProbabilitySpace) -> KernelFunction | float:
-    """Integrate coordinate `coord` (1-based) out against mu; arity drops by 1.
-
-    For k = 1 the result is the scalar expectation.
-    """
+def _split(f: KernelFunction, coord: int, mu: ProbabilitySpace):
+    """(P, Q) of f on coordinate `coord` (1-based): hoeffding_parts run on
+    that coordinate, the others a batch; Q keeps the coordinate's axis last."""
     _check_shape(f, mu)
     if not 1 <= coord <= f.k:
         raise ValueError(f"coord {coord} out of range for arity {f.k}")
-    out = np.tensordot(f.table, mu.weights, axes=([coord - 1], [0]))
-    if f.k == 1:
-        return float(out)
-    return KernelFunction(out)
+    parts = hoeffding_parts(np.moveaxis(f.table, coord - 1, -1), mu.weights, 1)
+    return parts[frozenset()], parts[frozenset({1})]
 
 
-def _p_bar(table: np.ndarray, axis: int, weights: np.ndarray) -> np.ndarray:
-    proj = np.tensordot(table, weights, axes=([axis], [0]))
-    return np.expand_dims(proj, axis)
+def project_p(f: KernelFunction, coord: int, mu: ProbabilitySpace) -> KernelFunction | float:
+    """Integrate coordinate `coord` (1-based) out against mu; arity drops by 1,
+    and for k = 1 the result is the scalar expectation."""
+    p = _split(f, coord, mu)[0]
+    return float(p) if f.k == 1 else KernelFunction(p)
 
 
 def project_q(f: KernelFunction, coord: int, mu: ProbabilitySpace) -> KernelFunction:
     """f minus its coord-projection re-broadcast over coord; arity unchanged."""
-    _check_shape(f, mu)
-    if not 1 <= coord <= f.k:
-        raise ValueError(f"coord {coord} out of range for arity {f.k}")
-    return KernelFunction(f.table - _p_bar(f.table, coord - 1, mu.weights))
+    return KernelFunction(np.moveaxis(_split(f, coord, mu)[1], -1, coord - 1))
 
 
 def is_canonical(f: KernelFunction, mu: ProbabilitySpace, tol: float = CANONICAL_TOL) -> bool:
     """True iff integrating any single coordinate against mu vanishes identically."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _check_shape(f, mu)
-    for axis in range(f.k):
-        proj = np.tensordot(f.table, mu.weights, axes=([axis], [0]))
-        if np.max(np.abs(proj)) > tol:
-            return False
-    return True
+    return all(np.max(np.abs(_split(f, coord, mu)[0])) <= tol
+               for coord in range(1, f.k + 1))
 
 
 def all_subsets(k: int):
@@ -64,10 +55,9 @@ def all_subsets(k: int):
 
 def canonicalize(f: KernelFunction, mu: ProbabilitySpace) -> KernelFunction:
     """Apply Q on every coordinate: the fully canonical part of f."""
-    out = f
-    for coord in range(1, f.k + 1):
-        out = project_q(out, coord, mu)
-    return out
+    _check_shape(f, mu)
+    parts = hoeffding_parts(f.table, mu.weights, f.k)
+    return KernelFunction(parts[frozenset(range(1, f.k + 1))])
 
 
 def hoeffding_parts(table: np.ndarray, weights: np.ndarray, k: int) -> dict:

@@ -214,19 +214,20 @@ class TooFewQualifyingPoints(Exception):
 
 
 def exponent_fit(curve: dict) -> float:
-    """Least-squares slope of log(-log p) against log x over grid points
-    with p in (0.001, 0.5); the testable shadow of the exp(-alpha x^{2/k})
-    tail shape.  Returns the slope alone: the residual is the points' misfit
-    to a line, not a sampling error, so it gives no standard error."""
+    """Least-squares slope, in closed form, of log(-log p) against log x
+    over at least 4 grid points with p in (0.001, 0.5), not all at one x; the
+    testable shadow of the exp(-alpha x^{2/k}) tail shape.  Returns the slope
+    alone: the residual is the points' misfit to a line, not a sampling
+    error, so it gives no standard error."""
     x, p = np.asarray(curve["x_grid"]), np.asarray(curve["probs"])
     keep = (p > 0.001) & (p < 0.5) & (x > 0)
-    if np.count_nonzero(keep) < 4:
-        raise TooFewQualifyingPoints(
-            f"only {np.count_nonzero(keep)} points with p in (0.001, 0.5)")
     lx = np.log(x[keep])
+    if lx.size < 4 or lx.min() == lx.max():  # else the slope's denominator is 0
+        raise TooFewQualifyingPoints(
+            f"{lx.size} points with p in (0.001, 0.5); a fit needs 4 at two x or more")
     ly = np.log(-np.log(p[keep]))
-    A = np.stack([lx, np.ones_like(lx)], axis=1)
-    return float(np.linalg.lstsq(A, ly, rcond=None)[0][0])
+    dx = lx - lx.mean()
+    return float(dx @ (ly - ly.mean()) / (dx @ dx))
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,14 @@ def offdiag_mask(m: int, k: int) -> np.ndarray:
 def l2_norm(f: KernelFunction, space: ProbabilitySpace) -> float:
     """sqrt of the integral of f**2 against the k-fold product measure."""
     _check_shape(f, space)
-    g = f.table ** 2
-    for _ in range(f.k):
-        g = g @ space.weights
-    return float(np.sqrt(max(g, 0.0)))
+    return float(l2_norms(f.table.reshape(1, -1), space, f.k)[0])
+
+
+def l2_norms(tables: np.ndarray, space: ProbabilitySpace, k: int) -> np.ndarray:
+    """L2(space^k) norm of each flat row of `tables`, the one norm behind a
+    family's sigma and the overlay's check; no tables ** 2 temporary."""
+    return np.sqrt(np.einsum("ij,ij,j->i", tables, tables,
+                             product_weights(space, k)))
 
 
 def product_weights(space: ProbabilitySpace, k: int) -> np.ndarray:
@@ -304,7 +308,7 @@ def epsilon_net(family: FunctionFamily, nu: ProbabilitySpace,
     tables, group = family.unique_tables()
     nuniq = tables.shape[0]
 
-    sq = (tables ** 2) @ w
+    sq = (tables ** 2) @ w  # not l2_norms: exact ties in d2 below decide membership
     gram_rhs = tables * w  # (U, m^k), reused for all distance rows
 
     # tables are in first-seen order, so scanning them scans members in order

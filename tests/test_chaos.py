@@ -103,6 +103,32 @@ def test_chaos_audit_repeated_tuple_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tuples, values", [
+    ([[0, 1, 2, 3]], [1.0, 2.0]),  # one 4-tuple at k = 2, not two pairs
+    ([0, 1, 2, 3], [1.0, 2.0]),  # a flat list, not the pairs (0, 1), (2, 3)
+    ([[0, 1], [2, 3]], [[1.0], [2.0]]),  # nested values, not flattened
+], ids=["long-tuple", "flat-tuples", "nested-values"])
+def test_chaos_audit_refuses_coefficients_of_the_wrong_shape(tmp_path, capsys,
+                                                             tuples, values):
+    cfg = {"experiment": "chaos_audit", "seed": 0, "n": 4, "k": 2,
+           "coefficients": {"index_tuples": tuples, "values": values},
+           "x_grid": [0.0, 1.0]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(str(path), str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("config error: coefficients: ")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match=r"\(T, 2\) array"):
+        ChaosCoefficients(n=4, k=2, index_tuples=np.asarray(tuples),
+                          values=np.asarray(values, dtype=float))
+
+
+def test_rejects_index_tuples_of_another_arity():
+    for idx in ([[0, 1]], [[[0], [1]]], np.zeros((0, 2), dtype=int)):
+        with pytest.raises(ValueError, match=r"\(T, 3\) array"):
+            ChaosCoefficients(n=4, k=3, index_tuples=idx, values=[1.0][:len(idx)])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_rejects_non_finite_values(bad):
     with pytest.raises(ValueError):

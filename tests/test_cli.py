@@ -564,6 +564,30 @@ def test_random_canonical_members_meet_sigma(space, k, count):
         assert max(norms) <= family.sigma <= 1.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("space", [finite_space(np.arange(1, 5) / 10.0),
+                                   uniform_space(6)], ids=["weighted4", "uniform6"])
+def test_random_canonical_sigma_is_the_overlay_norm(space, k):
+    """The sigma a family declares is, to the bit, the largest norm that
+    overlay_bounds checks it against."""
+    for count in (1, 3):
+        for kernel_seed in range(9):
+            family = _build_family({"kind": "random-canonical", "count": count,
+                                    "kernel_seed": kernel_seed}, "family", space, k)
+            norms = kernels.l2_norms(family.unique_tables()[0], space, k)
+            assert norms.max() == family.sigma
+
+
+def test_sup_tail_fits_its_slope_without_lstsq(tmp_path, monkeypatch):
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("exponent_fit called np.linalg.lstsq")
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    cfg = _base_cfg(n=400, reps=200, x_grid={"start": 0.1, "stop": 1.2, "points": 12})
+    assert run(_write(tmp_path, cfg), str(tmp_path / "out")) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert np.isfinite(report["payload"]["exponent_fit"]["slope"])
+
+
 def test_explicit_weights_space(tmp_path):
     cfg = _base_cfg(space={"weights": [0.25, 0.25, 0.25, 0.25]},
                     family={"kind": "singleton", "table": [1.0, -1.0, 0.5, -0.5]},

@@ -232,3 +232,53 @@ def test_net_preservation_under_q():
         g = project_q(fam.member(j), 1, mu).table / 2
         d2 = min(float(((g - r) ** 2) @ w) for r in reps)
         assert d2 < eps ** 2
+
+
+# the tensordot projections that the one-coordinate product replaced, kept
+# as its reference: random-canonical families rest on these bits
+def _project_p_tensordot(table, coord, weights):
+    return np.tensordot(table, weights, axes=([coord - 1], [0]))
+
+
+def _project_q_tensordot(table, coord, weights):
+    p = _project_p_tensordot(table, coord, weights)
+    return table - np.expand_dims(p, coord - 1)
+
+
+def _canonicalize_tensordot(table, weights):
+    for coord in range(1, table.ndim + 1):
+        table = _project_q_tensordot(table, coord, weights)
+    return table
+
+
+def _is_canonical_tensordot(table, weights, tol):
+    return all(np.max(np.abs(_project_p_tensordot(table, coord, weights))) <= tol
+               for coord in range(1, table.ndim + 1))
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_projections_are_bit_identical_to_tensordot(m, k):
+    spaces = [uniform_space(m),
+              finite_space(np.arange(1, m + 1) / (m * (m + 1) / 2)),
+              finite_space(np.r_[0.0, np.full(m - 1, 1.0 / (m - 1))])]
+    decisions = set()
+    for sp in spaces:
+        for seed in range(3):
+            raw = _random_kernel(m, k, 70 + seed)
+            canon = canonicalize(raw, sp)
+            assert np.array_equal(canon.table,
+                                  _canonicalize_tensordot(raw.table, sp.weights))
+            for f in (raw, canon):
+                for coord in range(1, k + 1):
+                    p = project_p(f, coord, sp)
+                    ref = _project_p_tensordot(f.table, coord, sp.weights)
+                    assert np.array_equal(p if k == 1 else p.table, ref)
+                    assert np.array_equal(project_q(f, coord, sp).table,
+                                          _project_q_tensordot(f.table, coord,
+                                                               sp.weights))
+                for tol in (1e-10, 1e-14, 1e-17):
+                    verdict = is_canonical(f, sp, tol)
+                    assert verdict == _is_canonical_tensordot(f.table, sp.weights, tol)
+                    decisions.add(verdict)
+    assert decisions == {True, False}  # the grid reaches both verdicts

@@ -450,9 +450,10 @@ def test_exponent_fit_exponential_shape():
 
 
 def test_exponent_fit_too_few_points():
-    xs = [0.5, 1.0, 2.0]
-    with pytest.raises(TooFewQualifyingPoints):
-        exponent_fit(_synthetic_curve(lambda x: np.exp(-x ** 2), xs))
+    # three points, then four that are one x: no line through them
+    for xs in ([0.5, 1.0, 2.0], [1.0] * 4):
+        with pytest.raises(TooFewQualifyingPoints):
+            exponent_fit(_synthetic_curve(lambda x: np.exp(-x ** 2), xs))
 
 
 # --- linkage to Rademacher chaos ------------------------------------------

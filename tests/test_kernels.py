@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from empint.kernels import (BoxRestrictionFamily, BudgetExceeded,
                             ExplicitFamily, KernelFunction, epsilon_net,
-                            interval_family, l2_norm, offdiag_mask,
+                            interval_family, l2_norm, l2_norms, offdiag_mask,
                             product_weights, singleton_family, sup_norm)
 from empint.spaces import (InvalidArgument, finite_space, stream_rng,
                            uniform_space)
@@ -56,6 +56,17 @@ def test_l2_norm_k2_outer():
 def test_l2_norm_shape_mismatch():
     with pytest.raises(ValueError):
         l2_norm(KernelFunction(np.zeros((3, 3))), uniform_space(4))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_l2_norm_is_one_row_of_l2_norms(k):
+    sp = finite_space([0.1, 0.0, 0.6, 0.3])  # one zero-weight atom
+    tables = stream_rng(8, 0).standard_normal((5, 4 ** k))
+    norms = l2_norms(tables, sp, k)
+    direct = np.sqrt((tables ** 2) @ product_weights(sp, k))
+    assert np.allclose(norms, direct, rtol=1e-14, atol=0)
+    for row, norm in zip(tables, norms):
+        assert l2_norm(KernelFunction(row.reshape((4,) * k)), sp) == norm
 
 
 @settings(max_examples=40, deadline=None)
